@@ -28,9 +28,8 @@ EXIT_SOLVER = 4
 
 _CONFIG_KEYS = {
     "command", "model", "lattice", "lattice_file", "t", "u", "j", "j_kondo",
-    "g", "omega", "n_max", "m", "k", "seed", "out", "coo", "perm", "family",
+    "g", "omega", "n_max", "m", "seed", "out", "coo", "perm", "family",
     "n_min", "n_max_scan", "pair", "lattice_small", "emit",
-    "dense_threshold", "degeneracy_tol", "strict_tol",
 }
 
 
@@ -331,7 +330,6 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--omega")
     parser.add_argument("--n-max", dest="n_max")
     parser.add_argument("--m")
-    parser.add_argument("--k")
     parser.add_argument("--seed")
     parser.add_argument("--out")
     parser.add_argument("--coo")

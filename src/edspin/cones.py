@@ -11,26 +11,54 @@ Both are self-dual.  For diagonal cones positivity preservation of a matrix
 is equivalent to entrywise nonnegativity and can be tested exactly; the
 semigroup e^{-tH} preserves the cone for every t iff H has nonpositive
 off-diagonal entries in the distinguished basis (Metzler form), and is
-ergodic iff additionally the off-diagonal support graph is irreducible.  For
-PSD-matrix cones map positivity is only sampled; the load-bearing claims
-(uniqueness and strict positivity of sector ground vectors) are checked
-exactly and reported as consequence-verified.
+ergodic iff additionally the off-diagonal support graph is irreducible.  The
+ergodicity test reads both conditions off the stored entries of the sparse
+matrix S H S, S = diag(signs), and counts components with a sparse graph
+search; it never forms a dense copy.
+
+For PSD-matrix cones map positivity is only sampled: the sampled cone
+members are the columns of one block R, and every sampled overlap is an
+entry of the Gram matrix R^H A R.  For the semigroup, A R = e^{-beta H} R
+comes from ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)), without a dense exponential.  The load-bearing claims (uniqueness
+and strict positivity of sector ground vectors) are checked exactly and
+reported as consequence-verified.
+
+The checks that work on dense arrays (``conjugate_matrix`` and what calls
+it, and the sampled positivity check) refuse dimensions above
+``spectra.DENSE_THRESHOLD`` before they allocate them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import expm_multiply
 
 from .fock import (SectorBasis, hubbard_labels, hubbard_sign_table,
                    kondo_doubled_sets, kondo_sign_table, mlm_sign_table,
                    nt_sign_table)
 from .operators import SparseOperator, embed_isometry, nesting_projection
-from .spectra import ground_space, total_spin_of
+from .spectra import DENSE_THRESHOLD, GroundSpace, ground_space
 
 STRICT_TOL = 1e-10
 SAMPLE_COUNT = 200
 SAMPLE_SEED = 7
+EDGE_TOL = 1e-12
+
+
+def _operator_matrix(a):
+    """The matrix of an operator: sparse as given, anything else as an array."""
+    mat = a.matrix if isinstance(a, SparseOperator) else a
+    return mat if sp.issparse(mat) else np.asarray(mat)
+
+
+def _check_dense_size(dim: int, what: str) -> None:
+    if dim > DENSE_THRESHOLD:
+        raise ValueError(f"{what}: dimension {dim} is above the dense limit "
+                         f"{DENSE_THRESHOLD}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +81,18 @@ class DiagonalCone:
         return self.signs.astype(float).copy()
 
     def conjugate_matrix(self, a) -> np.ndarray:
-        """Matrix of ``a`` in the distinguished basis (diagonal sign flip)."""
-        mat = a.matrix if isinstance(a, SparseOperator) else a
-        dense = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+        """Dense matrix of ``a`` in the distinguished basis (diagonal sign flip)."""
+        _check_dense_size(self.dim, "conjugate_matrix")
+        mat = _operator_matrix(a)
+        dense = mat.toarray() if sp.issparse(mat) else mat
         return self.signs[:, None] * dense * self.signs[None, :]
+
+    def conjugate_sparse(self, a) -> sp.coo_matrix:
+        """S a S with S = diag(signs), as canonical (row-major, summed) COO."""
+        coo = sp.coo_matrix(_operator_matrix(a))
+        coo.sum_duplicates()
+        data = self.signs[coo.row] * coo.data * self.signs[coo.col]
+        return sp.coo_matrix((data, (coo.row, coo.col)), shape=coo.shape)
 
 
 @dataclass(frozen=True)
@@ -154,7 +190,7 @@ def kondo_diagonal_restriction(basis: SectorBasis, coupling_sign: str
 # membership and gauges ------------------------------------------------------
 
 def _imag_excess(psi: np.ndarray) -> float:
-    return float(np.abs(psi.imag).max()) if np.iscomplexobj(psi) else 0.0
+    return float(np.abs(psi.imag).max()) if np.iscomplexobj(psi) and psi.size else 0.0
 
 
 def membership(psi: np.ndarray, cone: Cone, tol: float = STRICT_TOL
@@ -190,8 +226,6 @@ def gauge_fix(psi: np.ndarray, cone: Cone) -> np.ndarray:
 
 def modular_conjugation(psi: np.ndarray, cone: Cone) -> np.ndarray:
     """Componentwise conjugation in the distinguished basis (antilinear involution)."""
-    if isinstance(cone, DiagonalCone):
-        return cone.signs * np.conj(cone.signs * psi)
     return cone.signs * np.conj(cone.signs * psi)
 
 
@@ -211,8 +245,9 @@ class PreservationVerdict:
         return d
 
 
-def _sample_psd_members(cone: PSDMatrixCone, count: int, seed: int) -> list[np.ndarray]:
-    """Rank-one label outer products plus random mixed-rank PSD arrays."""
+def _sample_psd_members(cone: PSDMatrixCone, count: int, seed: int) -> np.ndarray:
+    """Rank-one label outer products plus random mixed-rank PSD arrays, as the
+    columns of one block."""
     rng = np.random.default_rng(seed)
     nr = len(cone.row_labels)
     out = []
@@ -226,7 +261,19 @@ def _sample_psd_members(cone: PSDMatrixCone, count: int, seed: int) -> list[np.n
         rank = int(rng.integers(1, nr + 1))
         gmat = rng.standard_normal((nr, rank))
         out.append(cone.vector_of_matrix(gmat @ gmat.T))
-    return out
+    return np.column_stack(out)
+
+
+def _least_sampled_overlap(members: np.ndarray, images: np.ndarray,
+                           tol: float) -> tuple[float, str | None]:
+    """Least Re <sigma, A rho> over all pairs of sampled members, from the
+    Gram block members^H (A members); the witness names the first least
+    pair (rho index major) when it lies below -tol."""
+    gram = (members.conj().T @ images).real.T      # [rho, sigma]
+    k, k2 = np.unravel_index(int(gram.argmin()), gram.shape)
+    worst = float(gram[k, k2])
+    witness = f"sampled pair ({k}, {k2}) gives overlap {worst:.3e}" if worst < -tol else None
+    return worst, witness
 
 
 def positivity_preserving(a, cone: Cone, tol: float = STRICT_TOL,
@@ -234,27 +281,17 @@ def positivity_preserving(a, cone: Cone, tol: float = STRICT_TOL,
                           ) -> PreservationVerdict:
     """Does ``a`` map the cone into itself?  Exact for diagonal cones, sampled
     (hence non-exhaustive) for PSD-matrix cones."""
-    mat = a.matrix if isinstance(a, SparseOperator) else a
     if isinstance(cone, DiagonalCone):
-        b = cone.conjugate_matrix(mat)
+        b = cone.conjugate_matrix(a)
         margin = float(b.real.min())
         if margin >= -tol and _imag_excess(b) <= tol:
             return PreservationVerdict(True, "exact", margin)
         i, j = np.unravel_index(int(b.real.argmin()), b.shape)
         return PreservationVerdict(False, "exact", margin,
                                    f"negative entry at ({i}, {j})")
-    dense = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+    _check_dense_size(cone.dim, "sampled positivity check")
     members = _sample_psd_members(cone, samples, seed)
-    worst = np.inf
-    witness = None
-    for k, rho in enumerate(members):
-        image = dense @ rho
-        for k2, sigma in enumerate(members):
-            val = float(np.real(np.vdot(sigma, image)))
-            if val < worst:
-                worst = val
-                if val < -tol:
-                    witness = f"sampled pair ({k}, {k2}) gives overlap {val:.3e}"
+    worst, witness = _least_sampled_overlap(members, _operator_matrix(a) @ members, tol)
     return PreservationVerdict(worst >= -tol, "sampled", worst, witness)
 
 
@@ -284,71 +321,76 @@ class ErgodicityVerdict:
         return d
 
 
-def _offdiag_components(b: np.ndarray, edge_tol: float = 1e-12) -> int:
+def _structural_ergodicity(b: sp.coo_matrix, tol: float) -> ErgodicityVerdict:
+    """Metzler form and irreducibility of ``b`` = S H S, read off its stored
+    off-diagonal entries.
+
+    The margin is -max(0, largest off-diagonal entry): the unstored entries
+    and the diagonal count as zeros, so a Metzler matrix has margin -0.0.
+    """
     n = b.shape[0]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(b[i, j]) > edge_tol or abs(b[j, i]) > edge_tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(n)})
+    off = b.row != b.col
+    rows, cols, vals = b.row[off], b.col[off], b.data[off]
+    top = max(0.0, float(vals.real.max())) if vals.size else 0.0
+    metzler_margin = -top if n else 0.0
+    metzler = top <= tol and _imag_excess(vals) <= tol
+    edge = np.abs(vals) > EDGE_TOL
+    support = sp.coo_matrix((np.ones(int(edge.sum())), (rows[edge], cols[edge])),
+                            shape=(n, n))
+    ncomp = int(connected_components(support, directed=False)[0])
+    connected = ncomp <= 1
+    if metzler and connected:
+        return ErgodicityVerdict("ergodic", metzler_margin, True)
+    reasons = []
+    if not metzler:
+        if top > 0:     # the row-major first largest entry
+            k = int(vals.real.argmax())
+            i, j = rows[k], cols[k]
+        else:           # only an imaginary part offends; the largest real
+            i = j = 0   # part is a zero, first met on the diagonal at (0, 0)
+        reasons.append(f"positive off-diagonal at ({i}, {j})")
+    if not connected:
+        reasons.append(f"off-diagonal support splits into {ncomp} components")
+    return ErgodicityVerdict("not-ergodic", metzler_margin, connected,
+                             witness="; ".join(reasons))
 
 
 def ergodicity(h, cone: Cone, tol: float = STRICT_TOL,
                betas: tuple[float, ...] = (0.1, 1.0),
-               samples: int = 40, seed: int = SAMPLE_SEED) -> ErgodicityVerdict:
+               samples: int = 40, seed: int = SAMPLE_SEED,
+               ground: GroundSpace | None = None) -> ErgodicityVerdict:
     """Semigroup ergodicity of e^{-t h} with respect to the cone.
 
-    Diagonal cones admit an exact structural test (Metzler off-diagonals plus
-    irreducibility); PSD-matrix cones get the consequence test: unique sector
-    ground state, strictly positive after gauge fixing, plus sampled
-    positivity of the semigroup at a few times.
+    Diagonal cones admit an exact structural test: Metzler off-diagonals
+    plus irreducibility, both read off the sparse S h S (connected
+    components of its off-diagonal support).  PSD-matrix cones get the
+    consequence test: unique sector ground state, strictly positive after
+    gauge fixing, plus sampled positivity of the semigroup at a few times,
+    whose action on the block of sampled members comes from
+    ``expm_multiply``.  ``ground`` is the sector's already-solved ground
+    space; without it the sector is solved here.
     """
-    mat = h.matrix if isinstance(h, SparseOperator) else h
+    mat = _operator_matrix(h)
     if isinstance(cone, DiagonalCone):
-        b = cone.conjugate_matrix(mat)
-        off = b - np.diag(np.diag(b))
-        metzler_margin = float(-off.real.max()) if off.size else 0.0
-        metzler = off.size == 0 or (off.real.max() <= tol and _imag_excess(off) <= tol)
-        ncomp = _offdiag_components(b)
-        connected = ncomp <= 1
-        if metzler and connected:
-            return ErgodicityVerdict("ergodic", metzler_margin, True)
-        reasons = []
-        if not metzler:
-            i, j = np.unravel_index(int(off.real.argmax()), off.shape)
-            reasons.append(f"positive off-diagonal at ({i}, {j})")
-        if not connected:
-            reasons.append(f"off-diagonal support splits into {ncomp} components")
-        return ErgodicityVerdict("not-ergodic", metzler_margin, connected,
-                                 witness="; ".join(reasons))
+        return _structural_ergodicity(cone.conjugate_sparse(mat), tol)
     # consequence route
-    gs = ground_space(mat)
+    gs = ground_space(mat) if ground is None else ground
     if gs.multiplicity != 1:
         return ErgodicityVerdict("consequence-failed", multiplicity=gs.multiplicity,
                                  witness="sector ground state is degenerate")
     psi = gauge_fix(gs.vectors[:, 0], cone)
     ok, margin = strict_positivity(psi, cone, tol)
-    dense = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+    members = _sample_psd_members(cone, samples, seed)
+    semi_tol = max(tol, 1e-8)
     semi_margin = np.inf
     for beta in betas:
-        expm = scipy.linalg.expm(-beta * dense)
-        verdict = positivity_preserving(expm, cone, tol=max(tol, 1e-8),
-                                        samples=samples, seed=seed)
-        semi_margin = min(semi_margin, verdict.margin)
-        if not verdict.preserving:
+        images = expm_multiply(-beta * mat, members)
+        worst, witness = _least_sampled_overlap(members, images, semi_tol)
+        semi_margin = min(semi_margin, worst)
+        if worst < -semi_tol:
             return ErgodicityVerdict("consequence-failed", strict_margin=margin,
-                                     multiplicity=1, semigroup_margin=verdict.margin,
-                                     witness=f"semigroup at beta={beta}: {verdict.witness}")
+                                     multiplicity=1, semigroup_margin=worst,
+                                     witness=f"semigroup at beta={beta}: {witness}")
     if not ok:
         return ErgodicityVerdict("consequence-failed", strict_margin=margin,
                                  multiplicity=1, semigroup_margin=float(semi_margin),
@@ -446,15 +488,3 @@ def nesting_consistency(cone_small: Cone, cone_big: Cone,
     projected_unit = proj @ cone_big.order_unit()
     strict, margin = strict_positivity(projected_unit, cone_small, tol)
     return NestingVerdict(ok_fwd, ok_bwd, strict, float(min(worst, margin)))
-
-
-# spin helper ----------------------------------------------------------------
-
-def ground_total_spin(h, s2_op, cone: Cone | None = None):
-    """(twice_S, ground space) of a sector Hamiltonian, via its ground vector."""
-    gs = ground_space(h.matrix if isinstance(h, SparseOperator) else h)
-    psi = gs.vectors[:, 0]
-    if cone is not None:
-        psi = gauge_fix(psi, cone)
-    twice_s, _ = total_spin_of(psi, s2_op)
-    return twice_s, gs

@@ -112,11 +112,6 @@ def magnetization(s: BasisState):
     return Fraction(t, 2)
 
 
-def twice_magnetization(s: BasisState) -> int:
-    return (s.up.bit_count() - s.dn.bit_count()
-            + s.fup.bit_count() - s.fdn.bit_count())
-
-
 # ---------------------------------------------------------------------------
 # packed-orbital elementary operators
 # ---------------------------------------------------------------------------
@@ -257,7 +252,8 @@ class SectorBasis:
         if self.subspace.n_max is None:
             return self.states
         step = self.phonon_dim
-        return tuple(self.states[i] for i in range(0, self.dim, step))
+        return tuple(BasisState(s.up, s.dn, s.fup, s.fdn)
+                     for s in self.states[::step])
 
 
 def _electron_states(g: Graph, kind: SubspaceKind, n_electrons: int,
@@ -468,10 +464,6 @@ def nt_basis_vector(g: Graph, sigma: tuple[int, ...]) -> tuple[BasisState, int]:
         elif sigma[x] == -1:
             dn |= 1 << x
     return BasisState(up, dn), sign
-
-
-def nt_sign(sigma: tuple[int, ...]) -> int:
-    return -1 if sigma.index(0) & 1 else 1
 
 
 # ---------------------------------------------------------------------------

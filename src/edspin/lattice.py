@@ -332,10 +332,6 @@ _GENERATOR_FUNCS = {
 }
 
 
-def family_member(f: LatticeFamily, n: int) -> Graph:
-    return f.member(n)
-
-
 def spin_density_sequence(f: LatticeFamily, n_max: int) -> list[tuple[int, int, int, Fraction]]:
     """Rows ``(n, |graph|, imbalance, s_n)`` with ``s_n = imbalance / (2 |graph|)``."""
     if n_max < 1:

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import (BasisState, SectorBasis, SubspaceKind, cons_vector,
-                   enumerate_sector, mlm_sign_table, occ_annihilate,
-                   occ_create, orbital_index)
+                   enumerate_sector, occ_annihilate, occ_create, orbital_index,
+                   sector_twice_m_values)
 from .lattice import Graph, bipartition
 
 HERMITICITY_TOL = 1e-12
@@ -235,18 +235,41 @@ def _spin_dot_terms(basis: SectorBasis, a: tuple[int, int], b: tuple[int, int]):
 
 
 def total_spin_squared(basis: SectorBasis) -> SparseOperator:
-    """Casimir S^2 summed over all spin carriers, as one real sparse matrix."""
+    """Casimir S^2 = S- S+ + S3 (S3 + 1) over all spin carriers, as one real
+    sparse matrix.
+
+    S+ maps the electron factor into the sector one unit of M above (a
+    whole-space basis into itself; the top sector has no S+ term), so S- S+
+    is its transpose times itself.  The phonon factor is the identity.
+    """
     elec = electron_basis(basis)
-    pairs = _site_spins(elec)
-    terms = []
-    for a in pairs:
-        for b in pairs:
-            terms += _spin_dot_terms(elec, a, b)
-    op = assemble(elec, elec, terms, hermitian=True)
-    if basis.subspace.n_max is None:
-        return op
-    mat = sp.kron(op.matrix, sp.identity(basis.phonon_dim, format="csr"), format="csr")
+    sz = magnetization_values(elec)
+    mat = sp.diags(sz * (sz + 1.0), format="csr")
+    upper = _raised_sector(elec)
+    if upper is not None:
+        splus = assemble(upper, elec, _ladder_terms(elec, 2)).matrix
+        mat = (splus.T @ splus + mat).tocsr()
+    if basis.subspace.n_max is not None:
+        mat = sp.kron(mat, sp.identity(basis.phonon_dim, format="csr"), format="csr")
     return SparseOperator(mat, basis, basis, hermitian=True)
+
+
+def _raised_sector(basis: SectorBasis) -> SectorBasis | None:
+    """The electron sector one unit of M above, ``basis`` itself if it spans
+    every M, or None at the top."""
+    if basis.twice_m is None:
+        return basis
+    target = basis.twice_m + 2
+    if target not in sector_twice_m_values(basis.graph, basis.subspace):
+        return None
+    return enumerate_sector(basis.graph, basis.subspace, m=target / 2)
+
+
+def _ladder_terms(basis: SectorBasis, delta: int):
+    """S+ (delta = 2) or S- (delta = -2) as one string per spin carrier."""
+    spc = basis.species_count
+    string = _raise_string if delta == 2 else _lower_string
+    return [(1.0, string(x, species, spc)) for x, species in _site_spins(basis)]
 
 
 def ladder_ops(basis_m: SectorBasis, basis_target: SectorBasis) -> SparseOperator:
@@ -261,12 +284,7 @@ def ladder_ops(basis_m: SectorBasis, basis_target: SectorBasis) -> SparseOperato
     delta = basis_target.twice_m - basis_m.twice_m
     if delta not in (2, -2):
         raise ValueError("target sector must differ by one unit of M")
-    spc = basis_m.species_count
-    terms = []
-    for (x, species) in _site_spins(basis_m):
-        s = _raise_string(x, species, spc) if delta == 2 else _lower_string(x, species, spc)
-        terms.append((1.0, s))
-    return assemble(basis_target, basis_m, terms)
+    return assemble(basis_target, basis_m, _ladder_terms(basis_m, delta))
 
 
 def magnetization_values(basis: SectorBasis) -> np.ndarray:
@@ -365,17 +383,6 @@ def hole_particle(basis: SectorBasis) -> SparseOperator:
         vals = np.array([1.0 - 2.0 * (s.up.bit_count() & 1) for s in basis.states])
         w = sp.diags(vals, format="csr") @ w
     return SparseOperator(w.tocsr(), basis, basis)
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    x = 0
-    while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
                 failures.append(f"sector M={tm}/2: ground state degenerate "
                                 f"within the sector (multiplicity {gs.multiplicity})")
         if cone is not None:
-            erg = cn.ergodicity(h.matrix, cone)
+            erg = cn.ergodicity(h.matrix, cone, ground=gs)
             if isinstance(cone, cn.PSDMatrixCone):
                 consequence_mode = True
             if not erg.ok:
@@ -240,27 +240,28 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
                              tuple(validation.warnings))
 
 
-def _verify(spec: ModelSpec, seed: int) -> GroundStateReport:
+def _verify(spec: ModelSpec, seed: int) -> tuple[GroundStateReport, list]:
+    """The report and the solved sectors it was made from."""
     start = time.perf_counter()
     report = validate(spec)
     if not report.ok:
         raise ValidationFailure(report)
     solved = _solve_all_sectors(spec, seed)
-    return _report(spec, solved, report, predicted_twice_spin(spec), start, seed)
+    return _report(spec, solved, report, predicted_twice_spin(spec), start, seed), solved
 
 
 def verify_mlm_class(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
     """Half-filled exchange/itinerant class: S = sublattice imbalance / 2."""
     if spec.model not in ("mlm", "heisenberg", "hubbard", "holstein_hubbard"):
         raise ValueError(f"{spec.model!r} is not in the half-filled class")
-    return _verify(spec, seed)
+    return _verify(spec, seed)[0]
 
 
 def verify_nt_class(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
     """One-hole strong-coupling class: S = (|lattice| - 1) / 2."""
     if spec.model not in ("hubbard_nt", "holstein_nt"):
         raise ValueError(f"{spec.model!r} is not in the one-hole class")
-    return _verify(spec, seed)
+    return _verify(spec, seed)[0]
 
 
 def verify_kondo(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
@@ -272,23 +273,20 @@ def verify_kondo(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
     """
     if spec.model not in ("kondo", "kondo_holstein"):
         raise ValueError(f"{spec.model!r} is not a localized-spin model")
-    report = _verify(spec, seed)
+    report, solved = _verify(spec, seed)
     if spec.model != "kondo":
         return report
     sign = "af" if (spec.j_kondo or 0) > 0 else "f"
     failures = list(report.failures)
-    for sector in report.sectors:
-        if abs(sector.e0 - report.e0) > ENERGY_EQUALITY_RTOL * max(1.0, abs(report.e0)):
+    for tm, basis, _, gs in solved:
+        if abs(gs.energy - report.e0) > ENERGY_EQUALITY_RTOL * max(1.0, abs(report.e0)):
             continue
-        basis = spec.basis(sector.twice_m / 2)
-        h = build(spec, sector.twice_m / 2)
-        gs = ground_space(h.matrix, seed=seed)
         idx, cone = cn.kondo_diagonal_restriction(basis, sign)
         projected = gs.vectors[:, 0][idx]
         projected = cn.gauge_fix(projected, cone)
         strict, margin = cn.strict_positivity(projected, cone)
         if not strict:
-            failures.append(f"sector M={sector.twice_m}/2: projected vector not "
+            failures.append(f"sector M={tm}/2: projected vector not "
                             f"strictly positive in the doubled-site cone "
                             f"(margin {margin:.3e})")
     if failures and report.verdict != "fail":

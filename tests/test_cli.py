@@ -36,6 +36,17 @@ def test_malformed_inputs_exit_parse(tmp_path):
     assert run(["bogus-command"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("key", ["k", "dense_threshold", "degeneracy_tol",
+                                 "strict_tol"])
+def test_unread_config_keys_are_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = mlm\nlattice = star:2\n{key} = 3\n")
+    assert run(["verify", "--config", str(cfg)]) == EXIT_PARSE
+    assert f"unknown config key: '{key}'" in capsys.readouterr().err
+    assert run(["verify", "--model", "mlm", "--lattice", "star:2",
+                "--k", "3"]) == EXIT_PARSE
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = heisenberg\nlattice = chain:2\nj = nn=1\n")

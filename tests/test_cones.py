@@ -1,16 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
-from edspin.cones import (DiagonalCone, ergodicity, gauge_fix, hubbard_cone,
-                          kondo_cone, kondo_diagonal_restriction, membership,
-                          mlm_cone, modular_conjugation, monotonicity_check,
+from edspin.cones import (DiagonalCone, PSDMatrixCone, _sample_psd_members,
+                          ergodicity, gauge_fix, hubbard_cone, kondo_cone,
+                          kondo_diagonal_restriction, membership, mlm_cone,
+                          modular_conjugation, monotonicity_check,
                           nesting_consistency, nt_cone, positivity_preserving,
                           strict_positivity, trivial_diagonal_cone)
-from edspin.fock import SubspaceKind, enumerate_sector
+from edspin.fock import SubspaceKind, enumerate_sector, kondo_sign_table
 from edspin.hamiltonians import ModelSpec, build, coupling_matrix
 from edspin.lattice import grid_graph, path_graph, star_graph
-from edspin.spectra import ground_space
+from edspin.spectra import DENSE_THRESHOLD, ground_space
+
+from oracles import dense_diagonal_ergodicity
 
 
 def nn(g):
@@ -100,6 +106,25 @@ def test_semigroup_preserves_hubbard_cone_sampled():
     h = build(spec, 0).dense()
     verdict = positivity_preserving(scipy.linalg.expm(-1.0 * h), cone, samples=100)
     assert verdict.preserving and verdict.mode == "sampled"
+
+
+def test_sampled_check_matches_pairwise_loop():
+    g = path_graph(2)
+    cone = hubbard_cone(enumerate_sector(g, SubspaceKind.full(2), m=0))
+    a = np.random.default_rng(3).standard_normal((cone.dim, cone.dim))
+    verdict = positivity_preserving(a, cone, samples=20, seed=4)
+    # reference: every (rho, sigma) pair in turn; the first least pair wins
+    members = _sample_psd_members(cone, 20, 4)
+    worst, witness = np.inf, None
+    for k in range(members.shape[1]):
+        image = a @ members[:, k]
+        for k2 in range(members.shape[1]):
+            val = float(np.vdot(members[:, k2], image).real)
+            if val < worst:
+                worst = val
+                witness = f"sampled pair ({k}, {k2}) gives overlap {val:.3e}"
+    assert not verdict.preserving
+    assert abs(verdict.margin - worst) <= 1e-12 and verdict.witness == witness
 
 
 def test_ergodicity_examples():
@@ -228,3 +253,102 @@ def test_kondo_diagonal_restriction_cone():
     psi = gauge_fix(gs.vectors[:, 0], full_cone)
     strict, margin = strict_positivity(psi, full_cone)
     assert strict and margin > 0
+
+
+def _diagonal_cases():
+    """(label, h, cone) for every sector of three models, with the kondo
+    sectors seen through two diagonal cones: the signed whole basis and the
+    singly-occupied-conduction restriction."""
+    p6, g23, p2 = path_graph(6), grid_graph(2, 3), path_graph(2)
+    heis = ModelSpec("heisenberg", p6, j=nn(p6))
+    for tm in heis.sector_values():
+        yield f"heisenberg M={tm}/2", build(heis, tm / 2).matrix, mlm_cone(heis.basis(tm / 2))
+    nt = ModelSpec("hubbard_nt", g23, t=nn(g23))
+    for tm in nt.sector_values():
+        yield f"hubbard_nt M={tm}/2", build(nt, tm / 2).matrix, nt_cone(nt.basis(tm / 2))
+    kondo = ModelSpec("kondo", p2, t=nn(p2), j_kondo=1.0)
+    for tm in kondo.sector_values():
+        basis = kondo.basis(tm / 2)
+        h = build(kondo, tm / 2).matrix
+        signs = np.array(kondo_sign_table(basis, "af"), dtype=float)
+        yield f"kondo M={tm}/2", h, DiagonalCone(signs, basis)
+        idx, cone = kondo_diagonal_restriction(basis, "af")
+        yield f"kondo restricted M={tm}/2", h[idx][:, idx], cone
+
+
+def test_sparse_ergodicity_matches_dense_reference():
+    verdicts = set()
+    for label, h, cone in _diagonal_cases():
+        got = ergodicity(h, cone).to_dict()
+        assert got == dense_diagonal_ergodicity(h, cone.signs), label
+        verdicts.add(got["verdict"])
+    assert verdicts == {"ergodic", "not-ergodic"}
+
+
+def test_ergodicity_witnesses_hand_built():
+    cone = trivial_diagonal_cone(4)
+    # two largest off-diagonal entries tie; the row-major first one is named
+    not_metzler = np.array([[0.0, -1.0, 0.0, 0.0],
+                            [0.25, 0.0, -1.0, 0.0],
+                            [0.0, -1.0, 0.0, 0.25],
+                            [0.0, 0.0, -1.0, 0.0]])
+    v = ergodicity(sp.csr_matrix(not_metzler), cone)
+    assert v.verdict == "not-ergodic" and v.connected
+    assert v.metzler_margin == -0.25
+    assert v.witness == "positive off-diagonal at (1, 0)"
+    disconnected = np.array([[1.0, -1.0, 0.0, 0.0],
+                             [-1.0, 0.0, 0.0, 0.0],
+                             [0.0, 0.0, 2.0, 1e-13],
+                             [0.0, 0.0, 1e-13, 0.0]])
+    v = ergodicity(disconnected, cone)
+    assert v.verdict == "not-ergodic" and not v.connected
+    assert v.witness == "off-diagonal support splits into 3 components"
+    # a Metzler matrix has margin -0.0: the zeroed diagonal caps the maximum
+    v = ergodicity(np.array([[0.0, -1.0], [-1.0, 3.0]]), trivial_diagonal_cone(2))
+    assert v.verdict == "ergodic" and math.copysign(1.0, v.metzler_margin) == -1.0
+    both = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    v = ergodicity(both, trivial_diagonal_cone(3))
+    assert v.witness == ("positive off-diagonal at (0, 1); "
+                         "off-diagonal support splits into 2 components")
+    # only an imaginary part breaks the Metzler form
+    cplx = np.array([[0.0, -1.0 + 1.0j], [-1.0 - 1.0j, 0.0]])
+    v = ergodicity(cplx, trivial_diagonal_cone(2))
+    assert v.to_dict() == dense_diagonal_ergodicity(cplx, np.ones(2))
+    assert v.witness == "positive off-diagonal at (0, 0)"
+    for h in (not_metzler, disconnected, both):
+        signs = np.ones(h.shape[0])
+        assert ergodicity(h, DiagonalCone(signs)).to_dict() == \
+            dense_diagonal_ergodicity(h, signs)
+
+
+def test_consequence_margins_match_dense_expm():
+    g = path_graph(4)
+    spec = ModelSpec("hubbard", g, t=nn(g), u=4.0 * np.eye(4))
+    for tm in spec.sector_values():
+        h = build(spec, tm / 2).matrix
+        cone = hubbard_cone(spec.basis(tm / 2))
+        v = ergodicity(h, cone)
+        dense = [positivity_preserving(scipy.linalg.expm(-beta * h.toarray()), cone,
+                                       tol=1e-8, samples=40).margin
+                 for beta in (0.1, 1.0)]
+        assert v.verdict == "consequence-verified"
+        assert abs(v.semigroup_margin - min(dense)) <= 1e-10
+        gs = ground_space(h)
+        assert ergodicity(h, cone, ground=gs).to_dict() == v.to_dict()
+
+
+def test_dense_checks_refuse_oversized_sectors():
+    n = DENSE_THRESHOLD + 1
+    big = sp.identity(n, format="csr")
+    cone = trivial_diagonal_cone(n)
+    with pytest.raises(ValueError, match="limit"):
+        cone.conjugate_matrix(big)
+    with pytest.raises(ValueError, match="limit"):
+        positivity_preserving(big, cone)
+    with pytest.raises(ValueError, match="limit"):
+        monotonicity_check(big, big, cone)
+    psd = PSDMatrixCone(np.ones(n), (0,), (0,), ((0, 0),) * n)
+    with pytest.raises(ValueError, match="limit"):
+        positivity_preserving(big, psd)
+    # the sparse structural test has no such limit
+    assert ergodicity(-sp.eye(n, k=1) - sp.eye(n, k=-1), cone).verdict == "ergodic"

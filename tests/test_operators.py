@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from edspin.fock import BasisState, SubspaceKind, enumerate_sector
+from edspin.fock import (BasisState, SubspaceKind, enumerate_sector,
+                         sector_twice_m_values)
 from edspin.lattice import bipartition, grid_graph, path_graph, star_graph
 from edspin.operators import (SparseOperator, annihilation_matrix, coulomb,
-                              creation_matrix, embed_isometry, embed_state,
-                              full_fock_basis, gutzwiller, heisenberg_bond,
-                              hole_particle, hopping, ladder_ops,
-                              magnetization_values, nesting_projection,
-                              phonon_ops, spin_op, total_spin_squared,
-                              uniform_rest_vector)
+                              creation_matrix, electron_basis, embed_isometry,
+                              embed_state, full_fock_basis, gutzwiller,
+                              heisenberg_bond, hole_particle, hopping,
+                              ladder_ops, magnetization_values,
+                              nesting_projection, phonon_ops, spin_dot,
+                              spin_op, total_spin_squared, uniform_rest_vector)
 
 
 def single_site_basis():
@@ -53,6 +54,49 @@ def test_total_spin_squared_two_site():
     singlet[up_dn], singlet[dn_up] = 1, -1
     singlet /= np.sqrt(2)
     assert abs(singlet @ s2m @ singlet) < 1e-12
+
+
+def pairwise_spin_squared(basis) -> np.ndarray:
+    """sum_ab S_a . S_b over ordered pairs of spin carriers, from spin_dot."""
+    carriers = [(x, species) for species in range(basis.species_count)
+                for x in range(basis.n_sites)]
+    total = sp.csr_matrix((basis.dim, basis.dim))
+    for a in carriers:
+        for b in carriers:
+            total = total + spin_dot(basis, a, b).matrix
+    return total.toarray()
+
+
+def _s2_bases():
+    p3, g22 = path_graph(3), grid_graph(2, 2)
+    yield enumerate_sector(p3, SubspaceKind.single_occupancy())       # whole space
+    for kind, g in ((SubspaceKind.single_occupancy(), p3),
+                    (SubspaceKind.full(3), p3),
+                    (SubspaceKind.full(2), p3),
+                    (SubspaceKind.one_hole(), g22),
+                    (SubspaceKind.kondo(), path_graph(2)),
+                    (SubspaceKind.one_hole(n_max=1), g22),
+                    (SubspaceKind.full(2, n_max=2), path_graph(2))):
+        for tm in sector_twice_m_values(g, kind):
+            yield enumerate_sector(g, kind, m=tm / 2)
+    yield full_fock_basis(path_graph(2))
+
+
+def test_ladder_form_s2_equals_pairwise_sum():
+    for basis in _s2_bases():
+        ladder = total_spin_squared(basis).matrix.toarray()
+        assert np.array_equal(ladder, pairwise_spin_squared(basis)), basis.subspace
+
+
+def test_electron_basis_drops_phonon_occupancies():
+    g = grid_graph(2, 2)
+    basis = enumerate_sector(g, SubspaceKind.one_hole(n_max=2), m=0.5)
+    elec = electron_basis(basis)
+    bare = enumerate_sector(g, SubspaceKind.one_hole(), m=0.5)
+    assert all(s.ph == () for s in elec.states)
+    assert elec.states == bare.states
+    # so a freshly enumerated electron sector finds every one of its states
+    assert all(bare.index_of(s) == i for i, s in enumerate(elec.states))
 
 
 def test_ladder_examples():

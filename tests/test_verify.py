@@ -78,6 +78,28 @@ def test_verify_kondo_signs():
     assert report.ok and report.twice_s_computed == 0
 
 
+def test_one_solve_per_sector(monkeypatch):
+    import edspin.cones
+    import edspin.verify
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for module in (edspin.verify, edspin.cones):
+        monkeypatch.setattr(module, "ground_space", counted(module.ground_space))
+    g2, star = path_graph(2), star_graph(3)
+    for verify, spec in ((verify_kondo, ModelSpec("kondo", g2, t=nn(g2), j_kondo=1.0)),
+                         (verify_mlm_class, ModelSpec("hubbard", star, t=nn(star),
+                                                      u=4.0 * np.eye(4)))):
+        calls.clear()
+        report = verify(spec)
+        assert report.ok and len(calls) == len(report.sectors)
+
+
 def test_report_serialization_round_trip():
     report = verify_mlm_class(ModelSpec("mlm", path_graph(2)))
     blob = json.dumps(report.to_dict())
