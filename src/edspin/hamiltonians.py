@@ -12,7 +12,7 @@ Models (and the sector bases they act on):
     kondo_holstein   kondo + phonon coupling on the conduction density
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,59 +128,34 @@ def u_effective(spec: ModelSpec) -> tuple[np.ndarray, float]:
 # building
 # ---------------------------------------------------------------------------
 
-def _spin_coupling_hamiltonian(basis: SectorBasis, j: np.ndarray):
-    terms = []
-    n = basis.n_sites
-    for x in range(n):
-        for y in range(x + 1, n):
-            if j[x, y] != 0.0:
-                for c, s in _weighted_dot_terms(basis, (x, 0), (y, 0), j[x, y]):
-                    terms.append((c, s))
-    return terms
-
-
-def _weighted_dot_terms(basis, a, b, weight):
-    return [(weight * c, s) for c, s in ops._spin_dot_terms(basis, a, b)]
-
-
 def _electron_part(spec: ModelSpec, m) -> ops.SparseOperator:
     """The purely electronic operator on the electron-factor sector basis."""
     g = spec.graph
+    n = g.vertex_count
     kind = spec.subspace()
-    elec_kind = SubspaceKind(kind.kind, kind.n_electrons, None)
-    basis = enumerate_sector(g, elec_kind, m=m)
+    basis = enumerate_sector(g, SubspaceKind(kind.kind, kind.n_electrons, None), m=m)
     model = spec.model
     if model in ("mlm", "heisenberg"):
         if model == "mlm":
             j = coupling_matrix(g, 1.0, "complete_bipartite")
+        elif spec.j is None:
+            raise ValueError("heisenberg needs an exchange matrix")
         else:
-            if spec.j is None:
-                raise ValueError("heisenberg needs an exchange matrix")
             j = spec.j
-        terms = _spin_coupling_hamiltonian(basis, j)
+        terms = [(j[x, y] * c, s)
+                 for x in range(n) for y in range(x + 1, n) if j[x, y] != 0.0
+                 for c, s in ops._spin_dot_terms(basis, (x, 0), (y, 0))]
         return ops.assemble(basis, basis, terms, hermitian=True)
-    if model in ("hubbard", "holstein_hubbard"):
-        if spec.t is None:
-            raise ValueError("hubbard needs a hopping matrix")
-        h = ops.hopping(basis, spec.t).matrix
-        if spec.u is not None:
-            h = h + ops.coulomb(basis, spec.u).matrix
-        return ops.SparseOperator(h.tocsr(), basis, basis, hermitian=True)
-    if model in ("hubbard_nt", "holstein_nt"):
-        if spec.t is None:
-            raise ValueError("the one-hole model needs a hopping matrix")
-        h = ops.hopping(basis, spec.t).matrix    # compression onto the basis IS P^G . P^G
-        if spec.u is not None:
-            h = h + ops.coulomb(basis, spec.u).matrix
-        return ops.SparseOperator(h.tocsr(), basis, basis, hermitian=True)
-    # kondo models
-    if spec.t is None or spec.j_kondo is None:
-        raise ValueError("kondo needs a hopping matrix and a scalar coupling")
+    kondo = model in ("kondo", "kondo_holstein")
+    if spec.t is None or (kondo and spec.j_kondo is None):
+        raise ValueError(f"{model} needs a hopping matrix"
+                         + (" and a scalar coupling" if kondo else ""))
+    # on the one-hole basis the compression of the hopping IS P^G . P^G
     h = ops.hopping(basis, spec.t).matrix
-    terms = []
-    for x in range(g.vertex_count):
-        terms += _weighted_dot_terms(basis, (x, 0), (x, 1), spec.j_kondo)
-    h = h + ops.assemble(basis, basis, terms, hermitian=True).matrix
+    if kondo:
+        terms = [(spec.j_kondo * c, s) for x in range(n)
+                 for c, s in ops._spin_dot_terms(basis, (x, 0), (x, 1))]
+        h = h + ops.assemble(basis, basis, terms, hermitian=True).matrix
     if spec.u is not None:
         h = h + ops.coulomb(basis, spec.u).matrix
     return ops.SparseOperator(h.tocsr(), basis, basis, hermitian=True)

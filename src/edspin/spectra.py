@@ -1,8 +1,9 @@
 """Eigensolvers and spin-resolved ground-space extraction.
 
-Dense diagonalization handles anything up to a configurable threshold; above
-it, a Lanczos iteration with full reorthogonalization and repeated deflation
-extracts the lowest eigenpairs.  Both routes are deterministic: the Lanczos
+Dense diagonalization handles every sector up to ``DENSE_PREFERENCE`` states;
+above it, a Lanczos iteration with full reorthogonalization and repeated
+deflation extracts the lowest eigenpairs.  The routing threshold and the
+tolerances are module constants.  Both routes are deterministic: the Lanczos
 start vectors come from a seeded generator.
 """
 
@@ -11,9 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-DENSE_THRESHOLD = 4096
+DENSE_THRESHOLD = 4096        # largest dimension any dense routine accepts
+DENSE_PREFERENCE = 1200       # ground_space solves up to this dimension densely
 LANCZOS_TOL = 1e-8
 DEGENERACY_TOL = 1e-7
+MAX_MULTIPLICITY = 16         # largest ground cluster the Krylov route resolves
+SPIN_RESIDUAL_TOL = 1e-6      # |S^2 psi - S(S+1) psi| allowed for an eigenvector
 DEFAULT_SEED = 20240901
 
 
@@ -151,28 +155,24 @@ class GroundSpace:
     vectors: np.ndarray            # shape (dim, multiplicity)
     residuals: tuple[float, ...]
     gap: float                     # distance to the first excluded level
-    tolerance: float
 
 
-def ground_space(h, degeneracy_tol: float = DEGENERACY_TOL,
-                 dense_threshold: int = DENSE_THRESHOLD,
-                 dense_preference: int = 1200,
-                 seed: int = DEFAULT_SEED, max_multiplicity: int = 16) -> GroundSpace:
+def ground_space(h, seed: int = DEFAULT_SEED) -> GroundSpace:
     """Ground energy, degeneracy and spanning vectors of a hermitian operator."""
     mat = _as_matrix(h)
     n = mat.shape[0]
-    if n <= min(dense_preference, dense_threshold):
-        vals, vecs = dense_eigensolve(mat, threshold=dense_threshold)
+    if n <= DENSE_PREFERENCE:
+        vals, vecs = dense_eigensolve(mat)
     else:
         k = min(n, 2)
         while True:
             vals, vecs = lanczos_ground(mat, k=k, seed=seed)
-            cut = vals[0] + degeneracy_tol * max(1.0, abs(vals[0]))
-            if vals[-1] > cut or k >= min(n, max_multiplicity):
+            cut = vals[0] + DEGENERACY_TOL * max(1.0, abs(vals[0]))
+            if vals[-1] > cut or k >= min(n, MAX_MULTIPLICITY):
                 break
-            k = min(n, max_multiplicity, 2 * k)
+            k = min(n, MAX_MULTIPLICITY, 2 * k)
     e0 = float(vals[0])
-    cut = e0 + degeneracy_tol * max(1.0, abs(e0))
+    cut = e0 + DEGENERACY_TOL * max(1.0, abs(e0))
     mult = int(np.sum(vals <= cut))
     vecs = vecs[:, :mult]
     # orthonormalize the cluster (dense route already is; cheap anyway)
@@ -180,14 +180,14 @@ def ground_space(h, degeneracy_tol: float = DEGENERACY_TOL,
     residuals = tuple(float(np.linalg.norm(mat @ q[:, i] - e0 * q[:, i]))
                       for i in range(mult))
     gap = float(vals[mult] - e0) if mult < len(vals) else np.inf
-    return GroundSpace(e0, mult, q, residuals, gap, degeneracy_tol)
+    return GroundSpace(e0, mult, q, residuals, gap)
 
 
 class MixedMultipletError(ValueError):
     """The supplied vector is not an eigenvector of the Casimir operator."""
 
 
-def total_spin_of(psi: np.ndarray, s2_operator, residual_tol: float = 1e-6):
+def total_spin_of(psi: np.ndarray, s2_operator):
     """Total spin S with S(S+1) = <psi|S^2 psi>, rejected unless an eigenvector.
 
     Returns (twice_s, residual); ``twice_s`` is the exact twice-value integer.
@@ -202,7 +202,7 @@ def total_spin_of(psi: np.ndarray, s2_operator, residual_tol: float = 1e-6):
     twice_s = int(round(2 * s))
     expected = 0.25 * twice_s * (twice_s + 2)
     residual = float(np.linalg.norm(s2psi - expected * psi))
-    if residual > residual_tol:
+    if residual > SPIN_RESIDUAL_TOL:
         raise MixedMultipletError(
             f"not a total-spin eigenvector (residual {residual:.3e})")
     return twice_s, residual

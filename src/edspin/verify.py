@@ -7,19 +7,19 @@ ergodicity.  Everything is checked at finite volume with pinned tolerances;
 nothing is fitted or extrapolated.
 """
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import cones as cn
 from . import operators as ops
-from .fock import SectorBasis, SubspaceKind, enumerate_sector
+from .fock import SectorBasis, SubspaceKind, enumerate_sector, sector_dimension
 from .hamiltonians import (ModelSpec, ValidationReport, build, kondo_graphs,
                            validate)
 from .lattice import Graph, LatticeFamily, relabel, sublattice_imbalance
-from .spectra import GroundSpace, ground_space, total_spin_of
+from .spectra import DEGENERACY_TOL, ground_space, total_spin_of
 
 ENERGY_EQUALITY_RTOL = 1e-8
 LADDER_CLOSURE_RTOL = 1e-7
@@ -140,29 +140,47 @@ def predicted_twice_spin(spec: ModelSpec) -> int:
     return sublattice_imbalance(g_f)
 
 
+def _solve_sector(spec: ModelSpec, tm: int, seed: int):
+    """``(twice_m, h, ground)`` of one sector; its basis is ``h.domain``."""
+    h = build(spec, tm / 2)
+    return tm, h, ground_space(h.matrix, seed=seed)
+
+
 def _solve_all_sectors(spec: ModelSpec, seed: int):
-    out = []
-    for tm in spec.sector_values():
-        basis = spec.basis(tm / 2)
-        h = build(spec, tm / 2)
-        gs = ground_space(h.matrix, seed=seed)
-        out.append((tm, basis, h, gs))
-    return out
+    return [_solve_sector(spec, tm, seed) for tm in spec.sector_values()]
 
 
-def _ladder_closure(spec: ModelSpec, solved, e0: float, failures: list[str]) -> None:
-    by_tm = {tm: (basis, h, gs) for tm, basis, h, gs in solved}
-    for tm, (basis, h, gs) in sorted(by_tm.items()):
-        if abs(gs.energy - e0) > ENERGY_EQUALITY_RTOL * max(1.0, abs(e0)):
+def _at_ground(energy: float, e0: float) -> bool:
+    """Whether a sector energy equals the ground energy ``e0``."""
+    return abs(energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0))
+
+
+def _sector_spin(h, gs) -> int:
+    """Twice the total spin of a solved sector's ground vector (raises
+    ``ValueError`` unless it is an S^2 eigenvector)."""
+    s2 = ops.total_spin_squared(h.domain)
+    return total_spin_of(gs.vectors[:, 0], s2.matrix)[0]
+
+
+def _ground_summary(solved) -> tuple[float, int, int]:
+    """E0, ground degeneracy summed over the sectors at E0, and the 2S of
+    the first of them."""
+    e0 = min(gs.energy for _, _, gs in solved)
+    ground = [(h, gs) for _, h, gs in solved if _at_ground(gs.energy, e0)]
+    return e0, sum(gs.multiplicity for _, gs in ground), _sector_spin(*ground[0])
+
+
+def _ladder_closure(solved, e0: float, failures: list[str]) -> None:
+    by_tm = {tm: (h, gs) for tm, h, gs in solved}
+    for tm, (h, gs) in sorted(by_tm.items()):
+        if not _at_ground(gs.energy, e0) or tm + 2 not in by_tm:
             continue
-        if tm + 2 not in by_tm:
+        h_up, gs_up = by_tm[tm + 2]
+        if not _at_ground(gs_up.energy, e0):
             continue
-        basis_up, h_up, gs_up = by_tm[tm + 2]
-        if abs(gs_up.energy - e0) > ENERGY_EQUALITY_RTOL * max(1.0, abs(e0)):
+        if h.domain.dim + h_up.domain.dim > LADDER_DIM_LIMIT:
             continue
-        if basis.dim + basis_up.dim > LADDER_DIM_LIMIT:
-            continue
-        splus = ops.ladder_ops(basis, basis_up)
+        splus = ops.ladder_ops(h.domain, h_up.domain)
         psi = gs.vectors[:, 0]
         image = splus.matrix @ psi
         nrm = np.linalg.norm(image)
@@ -175,24 +193,24 @@ def _ladder_closure(spec: ModelSpec, solved, e0: float, failures: list[str]) -> 
 
 
 def _report(spec: ModelSpec, solved, validation: ValidationReport,
-            expected_twice_s: int, start: float, seed: int) -> GroundStateReport:
+            expected_twice_s: int, start: float) -> GroundStateReport:
     failures: list[str] = []
-    e0 = min(gs.energy for _, _, _, gs in solved)
+    e0 = min(gs.energy for _, _, gs in solved)
     degeneracy = 0
     twice_s_seen: set[int] = set()
     sector_reports = []
     consequence_mode = False
-    for tm, basis, h, gs in solved:
-        ground_here = abs(gs.energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0))
+    for tm, h, gs in solved:
+        basis = h.domain
+        ground_here = _at_ground(gs.energy, e0)
         cone, note = _sector_cone(spec, basis)
         erg = None
         strict_margin = None
         twice_s = None
         if ground_here:
             degeneracy += gs.multiplicity
-            s2 = ops.total_spin_squared(basis)
             try:
-                twice_s, _ = total_spin_of(gs.vectors[:, 0], s2.matrix)
+                twice_s = _sector_spin(h, gs)
                 twice_s_seen.add(twice_s)
             except ValueError as exc:
                 failures.append(f"sector M={tm}/2: {exc}")
@@ -225,7 +243,7 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
     if degeneracy != expected_twice_s + 1:
         failures.append(f"degeneracy {degeneracy} differs from the predicted "
                         f"{expected_twice_s + 1}")
-    _ladder_closure(spec, solved, e0, failures)
+    _ladder_closure(solved, e0, failures)
     if failures:
         verdict = "fail"
     else:
@@ -233,7 +251,7 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
     tolerances = {"energy_equality_rtol": ENERGY_EQUALITY_RTOL,
                   "strictness_tol": cn.STRICT_TOL,
                   "ladder_closure_rtol": LADDER_CLOSURE_RTOL,
-                  "degeneracy_tol": solved[0][3].tolerance}
+                  "degeneracy_tol": DEGENERACY_TOL}
     return GroundStateReport(_model_echo(spec), tuple(sector_reports), e0, degeneracy,
                              twice_s, expected_twice_s, verdict, tuple(failures),
                              tolerances, validation, time.perf_counter() - start,
@@ -247,7 +265,7 @@ def _verify(spec: ModelSpec, seed: int) -> tuple[GroundStateReport, list]:
     if not report.ok:
         raise ValidationFailure(report)
     solved = _solve_all_sectors(spec, seed)
-    return _report(spec, solved, report, predicted_twice_spin(spec), start, seed), solved
+    return _report(spec, solved, report, predicted_twice_spin(spec), start), solved
 
 
 def verify_mlm_class(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
@@ -277,25 +295,21 @@ def verify_kondo(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
     if spec.model != "kondo":
         return report
     sign = "af" if (spec.j_kondo or 0) > 0 else "f"
-    failures = list(report.failures)
-    for tm, basis, _, gs in solved:
-        if abs(gs.energy - report.e0) > ENERGY_EQUALITY_RTOL * max(1.0, abs(report.e0)):
+    failures = []
+    for tm, h, gs in solved:
+        if not _at_ground(gs.energy, report.e0):
             continue
-        idx, cone = cn.kondo_diagonal_restriction(basis, sign)
-        projected = gs.vectors[:, 0][idx]
-        projected = cn.gauge_fix(projected, cone)
+        idx, cone = cn.kondo_diagonal_restriction(h.domain, sign)
+        projected = cn.gauge_fix(gs.vectors[:, 0][idx], cone)
         strict, margin = cn.strict_positivity(projected, cone)
         if not strict:
             failures.append(f"sector M={tm}/2: projected vector not "
                             f"strictly positive in the doubled-site cone "
                             f"(margin {margin:.3e})")
-    if failures and report.verdict != "fail":
-        return GroundStateReport(report.model, report.sectors, report.e0,
-                                 report.degeneracy, report.twice_s_computed,
-                                 report.twice_s_predicted, "fail", tuple(failures),
-                                 report.tolerances, report.validation,
-                                 report.wall_time, report.warnings)
-    return report
+    if not failures:
+        return report
+    return dataclasses.replace(report, verdict="fail",
+                               failures=report.failures + tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +339,6 @@ class PairReport:
         return d
 
 
-def _ground_vector(spec: ModelSpec, m, seed: int = 0):
-    basis = spec.basis(m)
-    h = build(spec, m)
-    gs = ground_space(h.matrix, seed=seed)
-    s2 = ops.total_spin_squared(basis)
-    twice_s, _ = total_spin_of(gs.vectors[:, 0], s2.matrix)
-    return basis, gs.vectors[:, 0], twice_s
-
-
 def _restrict_single_occupancy(basis_full: SectorBasis, basis_single: SectorBasis,
                                psi: np.ndarray) -> np.ndarray:
     out = np.zeros(basis_single.dim, dtype=psi.dtype)
@@ -344,9 +349,19 @@ def _restrict_single_occupancy(basis_full: SectorBasis, basis_single: SectorBasi
     return out
 
 
-def _restrict_phonon_vacuum(basis_ph: SectorBasis, psi: np.ndarray) -> np.ndarray:
-    step = basis_ph.phonon_dim
-    return psi[0::step] if step > 1 else psi
+def _restrict_phonon_vacuum(basis_ph: SectorBasis, basis_bare: SectorBasis,
+                            psi: np.ndarray) -> np.ndarray:
+    return psi[::basis_ph.phonon_dim]
+
+
+# (model a, model b) -> (twice-M offset of the compared sector above the
+# lowest |M|, projection of a's vector onto b's basis, cone on b's basis)
+_STABILITY_PAIRS = {
+    ("hubbard", "mlm"): (0, _restrict_single_occupancy, cn.mlm_cone),
+    ("hubbard", "heisenberg"): (0, _restrict_single_occupancy, cn.mlm_cone),
+    ("holstein_hubbard", "hubbard"): (0, _restrict_phonon_vacuum, cn.hubbard_cone),
+    ("holstein_nt", "hubbard_nt"): (1, _restrict_phonon_vacuum, cn.nt_cone),
+}
 
 
 def verify_stability_pair(spec_a: ModelSpec, spec_b: ModelSpec,
@@ -357,32 +372,17 @@ def verify_stability_pair(spec_a: ModelSpec, spec_b: ModelSpec,
     if (ga.vertex_count, ga.edges) != (gb.vertex_count, gb.edges):
         raise ValueError("stability pairs must share the lattice")
     pair = (spec_a.model, spec_b.model)
-    m0 = 0.0 if spec_a.graph.vertex_count % 2 == 0 else 0.5
-    if pair == ("hubbard", "mlm") or pair == ("hubbard", "heisenberg"):
-        basis_a, psi_a, sa = _ground_vector(spec_a, m0, seed)
-        basis_b, psi_b, sb = _ground_vector(spec_b, m0, seed)
-        proj = _restrict_single_occupancy(basis_a, basis_b, psi_a)
-        psi_a_fixed = cn.gauge_fix(proj, cn.mlm_cone(basis_b))
-        psi_b_fixed = cn.gauge_fix(psi_b, cn.mlm_cone(basis_b))
-        overlap = float(np.real(np.vdot(psi_a_fixed, psi_b_fixed)))
-    elif pair == ("holstein_hubbard", "hubbard"):
-        basis_a, psi_a, sa = _ground_vector(spec_a, m0, seed)
-        basis_b, psi_b, sb = _ground_vector(spec_b, m0, seed)
-        proj = _restrict_phonon_vacuum(basis_a, psi_a)
-        cone = cn.hubbard_cone(basis_b)
-        psi_a_fixed = cn.gauge_fix(proj, cone)
-        psi_b_fixed = cn.gauge_fix(psi_b, cone)
-        overlap = float(np.real(np.vdot(psi_a_fixed, psi_b_fixed)))
-    elif pair == ("holstein_nt", "hubbard_nt"):
-        basis_a, psi_a, sa = _ground_vector(spec_a, m0 + 0.5, seed)
-        basis_b, psi_b, sb = _ground_vector(spec_b, m0 + 0.5, seed)
-        proj = _restrict_phonon_vacuum(basis_a, psi_a)
-        cone = cn.nt_cone(basis_b)
-        psi_a_fixed = cn.gauge_fix(proj, cone)
-        psi_b_fixed = cn.gauge_fix(psi_b, cone)
-        overlap = float(np.real(np.vdot(psi_a_fixed, psi_b_fixed)))
-    else:
+    if pair not in _STABILITY_PAIRS:
         raise ValueError(f"unsupported stability pair {pair}")
+    offset, project, make_cone = _STABILITY_PAIRS[pair]
+    tm = ga.vertex_count % 2 + offset
+    _, h_a, gs_a = _solve_sector(spec_a, tm, seed)
+    _, h_b, gs_b = _solve_sector(spec_b, tm, seed)
+    sa, sb = _sector_spin(h_a, gs_a), _sector_spin(h_b, gs_b)
+    cone = make_cone(h_b.domain)
+    proj = project(h_a.domain, h_b.domain, gs_a.vectors[:, 0])
+    overlap = float(np.real(np.vdot(cn.gauge_fix(proj, cone),
+                                    cn.gauge_fix(gs_b.vectors[:, 0], cone))))
     ok = (sa == sb) and overlap > 0
     return PairReport("->".join(pair), sa, sb, overlap, None,
                       "pass" if ok else "fail")
@@ -391,24 +391,11 @@ def verify_stability_pair(spec_a: ModelSpec, spec_b: ModelSpec,
 def verify_nesting_pair(model: str, g_small: Graph, g_big: Graph,
                         tol: float = cn.STRICT_TOL) -> PairReport:
     """Cone consistency of the whole-space cones of a nested lattice pair."""
-    if model in ("mlm", "heisenberg"):
-        kind = SubspaceKind.single_occupancy()
-        mk = cn.mlm_cone
-    elif model == "hubbard":
-        kind = None
-        mk = cn.hubbard_cone
-    elif model == "hubbard_nt":
-        kind = SubspaceKind.one_hole()
-        mk = cn.nt_cone
-    else:
+    if model not in ("mlm", "heisenberg", "hubbard", "hubbard_nt"):
         raise ValueError(f"no nesting cones for model {model!r}")
-    if model == "hubbard":
-        basis_small = enumerate_sector(g_small, SubspaceKind.full(g_small.vertex_count))
-        basis_big = enumerate_sector(g_big, SubspaceKind.full(g_big.vertex_count))
-    else:
-        basis_small = enumerate_sector(g_small, kind)
-        basis_big = enumerate_sector(g_big, kind)
-    verdict = cn.nesting_consistency(mk(basis_small), mk(basis_big), tol)
+    small, big = (_sector_cone(spec, spec.basis(None))[0]
+                  for spec in (ModelSpec(model, g_small), ModelSpec(model, g_big)))
+    verdict = cn.nesting_consistency(small, big, tol)
     return PairReport(f"nesting-{model}", -1, -1, None, verdict,
                       "pass" if verdict.ok else "fail")
 
@@ -468,19 +455,14 @@ def magnetic_order_scan(family: LatticeFamily, make_spec, n_range,
         if not report.ok:
             raise ValidationFailure(report)
         predicted = predicted_twice_spin(spec)
-        largest = max(spec.basis(tm / 2).dim for tm in spec.sector_values())
+        phonon_dim = (spec.n_max + 1) ** g.vertex_count if spec.has_phonons else 1
+        largest = phonon_dim * max(sector_dimension(g, spec.subspace(), tm / 2)
+                                   for tm in spec.sector_values())
         if largest > dim_limit:
             rows.append(ScanRow(n, g.vertex_count, sublattice_imbalance(g),
                                 predicted, None, True))
             continue
-        solved = _solve_all_sectors(spec, seed)
-        e0 = min(gs.energy for _, _, _, gs in solved)
-        twice_s = None
-        for tm, basis, h, gs in solved:
-            if abs(gs.energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0)):
-                s2 = ops.total_spin_squared(basis)
-                twice_s, _ = total_spin_of(gs.vectors[:, 0], s2.matrix)
-                break
+        twice_s = _ground_summary(_solve_all_sectors(spec, seed))[2]
         rows.append(ScanRow(n, g.vertex_count, sublattice_imbalance(g),
                             predicted, twice_s, False))
         if twice_s != predicted:
@@ -524,20 +506,8 @@ def isomorphism_invariance(spec: ModelSpec, perm, seed: int = 0,
                            tol: float = 1e-9) -> InvarianceReport:
     """Ground energy, degeneracy and total spin agree under relabeling."""
     spec2 = permuted_spec(spec, perm)
-    out = []
-    for sp_ in (spec, spec2):
-        solved = _solve_all_sectors(sp_, seed)
-        e0 = min(gs.energy for _, _, _, gs in solved)
-        deg = sum(gs.multiplicity for _, _, _, gs in solved
-                  if abs(gs.energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0)))
-        twice_s = None
-        for tm, basis, h, gs in solved:
-            if abs(gs.energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0)):
-                s2 = ops.total_spin_squared(basis)
-                twice_s, _ = total_spin_of(gs.vectors[:, 0], s2.matrix)
-                break
-        out.append((e0, deg, twice_s))
-    (e0a, dega, sa), (e0b, degb, sb) = out
+    (e0a, dega, sa), (e0b, degb, sb) = (_ground_summary(_solve_all_sectors(sp_, seed))
+                                        for sp_ in (spec, spec2))
     delta = abs(e0a - e0b)
     verdict = "pass" if (delta <= tol and dega == degb and sa == sb) else "fail"
     return InvarianceReport(delta, dega == degb, sa == sb, verdict)
@@ -545,16 +515,7 @@ def isomorphism_invariance(spec: ModelSpec, perm, seed: int = 0,
 
 def constancy_check(specs: list[ModelSpec], seed: int = 0) -> bool:
     """All specs (same lattice, same condition set) share the ground-state spin."""
-    spins = set()
-    for spec in specs:
-        solved = _solve_all_sectors(spec, seed)
-        e0 = min(gs.energy for _, _, _, gs in solved)
-        for tm, basis, h, gs in solved:
-            if abs(gs.energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0)):
-                s2 = ops.total_spin_squared(basis)
-                twice_s, _ = total_spin_of(gs.vectors[:, 0], s2.matrix)
-                spins.add(twice_s)
-                break
+    spins = {_ground_summary(_solve_all_sectors(spec, seed))[2] for spec in specs}
     return len(spins) == 1
 
 
@@ -564,16 +525,8 @@ def cutoff_convergence(spec: ModelSpec, n_maxes, seed: int = 0):
         raise ValueError("cutoff sweep applies to phonon models only")
     out = []
     for n_max in n_maxes:
-        sp_ = ModelSpec(spec.model, spec.graph, spec.t, spec.u, spec.j,
-                        spec.j_kondo, spec.g_ep, spec.omega, n_max)
-        solved = _solve_all_sectors(sp_, seed)
-        e0 = min(gs.energy for _, _, _, gs in solved)
-        twice_s = None
-        for tm, basis, h, gs in solved:
-            if abs(gs.energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0)):
-                s2 = ops.total_spin_squared(basis)
-                twice_s, _ = total_spin_of(gs.vectors[:, 0], s2.matrix)
-                break
+        solved = _solve_all_sectors(dataclasses.replace(spec, n_max=n_max), seed)
+        e0, _, twice_s = _ground_summary(solved)
         out.append((n_max, e0, twice_s))
     return out
 
@@ -587,7 +540,6 @@ def u_limit_comparison(g: Graph, t: np.ndarray, u_value: float) -> float:
     worst = 0.0
     spec_nt = ModelSpec("hubbard_nt", g, t=t)
     for tm in spec_nt.sector_values():
-        basis_nt = spec_nt.basis(tm / 2)
         h_nt = build(spec_nt, tm / 2)
         kind = SubspaceKind.full(n - 1)
         basis_u = enumerate_sector(g, kind, m=tm / 2)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from edspin.fock import enumerate_sector
 from edspin.hamiltonians import ModelSpec, coupling_matrix
 from edspin.lattice import LatticeFamily, grid_graph, path_graph, star_graph
 from edspin.verify import (ValidationFailure, constancy_check,
@@ -100,6 +101,40 @@ def test_one_solve_per_sector(monkeypatch):
         assert report.ok and len(calls) == len(report.sectors)
 
 
+def test_one_enumeration_per_sector(monkeypatch):
+    """`verify` enumerates each sector basis once inside `build`; phonon
+    models add one enumeration of the electron-phonon product."""
+    import edspin.hamiltonians
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return enumerate_sector(*args, **kwargs)
+
+    monkeypatch.setattr(edspin.hamiltonians, "enumerate_sector", counted)
+    g2, g4 = path_graph(2), path_graph(4)
+    for verify, spec, per_sector in (
+            (verify_mlm_class, ModelSpec("heisenberg", g4, j=nn(g4)), 1),
+            (verify_kondo, ModelSpec("kondo", g2, t=nn(g2), j_kondo=1.0), 1),
+            (verify_mlm_class, ModelSpec("holstein_hubbard", g2, t=nn(g2),
+                                         u=4.0 * np.eye(2), g_ep=0.5 * np.eye(2),
+                                         omega=1.0, n_max=4), 2)):
+        calls.clear()
+        report = verify(spec)
+        assert report.ok and len(calls) == per_sector * len(report.sectors)
+
+
+def test_verify_kondo_keeps_projected_failures_of_a_failed_report(monkeypatch):
+    import edspin.cones
+    monkeypatch.setattr(edspin.cones, "strict_positivity",
+                        lambda psi, cone, tol=None: (False, -1.0))
+    g2 = path_graph(2)
+    report = verify_kondo(ModelSpec("kondo", g2, t=nn(g2), j_kondo=1.0))
+    assert report.verdict == "fail"
+    assert any("ground vector not strictly positive" in f for f in report.failures)
+    assert any("projected vector" in f for f in report.failures)
+
+
 def test_report_serialization_round_trip():
     report = verify_mlm_class(ModelSpec("mlm", path_graph(2)))
     blob = json.dumps(report.to_dict())
@@ -156,6 +191,28 @@ def test_magnetic_order_scan_flags_large_members():
         dim_limit=10)
     assert any(r.counting_only for r in report.rows)
     assert all(r.twice_s_computed is None for r in report.rows if r.counting_only)
+
+
+def test_scan_sizes_members_without_enumerating(monkeypatch):
+    import edspin.hamiltonians
+
+    def holstein(g):
+        n = g.vertex_count
+        return ModelSpec("holstein_hubbard", g, t=nn(g), u=4.0 * np.eye(n),
+                         g_ep=0.5 * np.eye(n), omega=1.0, n_max=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counting-only member was enumerated")
+
+    fam = LatticeFamily("star")
+    spec = holstein(fam.member(1))
+    largest = max(spec.basis(tm / 2).dim for tm in spec.sector_values())
+    with monkeypatch.context() as patch:
+        patch.setattr(edspin.hamiltonians, "enumerate_sector", refuse)
+        report = magnetic_order_scan(fam, holstein, [1], dim_limit=largest - 1)
+    assert report.rows[0].counting_only
+    report = magnetic_order_scan(fam, holstein, [1], dim_limit=largest)
+    assert report.ok and not report.rows[0].counting_only
 
 
 def test_isomorphism_invariance():
