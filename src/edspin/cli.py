@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as vf
-from .hamiltonians import ModelSpec, build, coupling_matrix, validate
+from .fock import check_packable, twice_value
+from .hamiltonians import ModelSpec, build, coupling_matrix
 from .lattice import (Graph, LatticeFamily, bipartition, path_graph, cycle_graph,
-                      read_edge_list, sublattice_imbalance, write_edge_list)
-from .operators import SparseOperator
+                      read_edge_list, write_edge_list)
 from .spectra import SolverError, ground_space
 
 EXIT_PASS = 0
@@ -92,43 +92,60 @@ def parse_coupling(g: Graph, text: str | None):
         raise CliError(f"bad coupling spec {text!r}") from exc
 
 
+# model: (coupling keys read, with a default when absent; keys read only
+# when given).  A key the model does not read is rejected.
 _MODEL_NEEDS = {
-    "mlm": (),
-    "heisenberg": ("j",),
-    "hubbard": ("t", "u"),
-    "hubbard_nt": ("t",),
-    "holstein_hubbard": ("t", "u", "g", "omega"),
-    "holstein_nt": ("t", "g", "omega"),
-    "kondo": ("t", "j_kondo"),
-    "kondo_holstein": ("t", "j_kondo", "g", "omega"),
+    "mlm": ((), ()),
+    "heisenberg": (("j",), ()),
+    "hubbard": (("t", "u"), ()),
+    "hubbard_nt": (("t",), ("u",)),
+    "holstein_hubbard": (("t", "u", "g", "omega"), ("n_max",)),
+    "holstein_nt": (("t", "g", "omega"), ("u", "n_max")),
+    "kondo": (("t", "j_kondo"), ("u",)),
+    "kondo_holstein": (("t", "j_kondo", "g", "omega"), ("u", "n_max")),
 }
 
 _DEFAULTS = {"t": "nn=1", "u": "4", "j": "nn=1", "g": "0.5", "omega": 1.0,
              "j_kondo": 1.0}
+
+_COUPLING_KEYS = ("t", "u", "j", "j_kondo", "g", "omega", "n_max")
+
+
+def _reads(model: str) -> tuple[str, ...]:
+    needs, optional = _MODEL_NEEDS[model]
+    return needs + optional
+
+
+def _only_read(cfg: dict, model: str) -> dict:
+    """``cfg`` without the coupling keys ``model`` does not read."""
+    return {key: value for key, value in cfg.items()
+            if key not in _COUPLING_KEYS or key in _reads(model)}
+
+
+def _reject_unread(cfg: dict, models) -> None:
+    """Exit 2 on a coupling key that none of ``models`` reads."""
+    unread = [key for key in _COUPLING_KEYS
+              if cfg.get(key) and not any(key in _reads(model) for model in models)]
+    if unread:
+        raise CliError(f"{' / '.join(models) or 'this command'} does not read "
+                       f"{', '.join(unread)}")
 
 
 def _spec_on_graph(cfg: dict, g: Graph) -> ModelSpec:
     model = cfg.get("model")
     if model not in _MODEL_NEEDS:
         raise CliError(f"unknown or missing model {model!r}")
-    needs = _MODEL_NEEDS[model]
-    kw: dict = {}
-    if "t" in needs:
-        kw["t"] = parse_coupling(g, cfg.get("t") or _DEFAULTS["t"])
-    if "u" in needs:
-        kw["u"] = parse_coupling(g, cfg.get("u") or _DEFAULTS["u"])
-    elif cfg.get("u"):
-        kw["u"] = parse_coupling(g, cfg["u"])
-    if "j" in needs:
-        kw["j"] = parse_coupling(g, cfg.get("j") or _DEFAULTS["j"])
-    if "g" in needs:
-        kw["g_ep"] = parse_coupling(g, cfg.get("g") or _DEFAULTS["g"])
-    if "omega" in needs:
-        kw["omega"] = float(cfg.get("omega") or _DEFAULTS["omega"])
-        kw["n_max"] = int(cfg["n_max"]) if cfg.get("n_max") else None
-    if "j_kondo" in needs:
-        kw["j_kondo"] = float(cfg.get("j_kondo") or _DEFAULTS["j_kondo"])
+    _reject_unread(cfg, (model,))
+    needs, optional = _MODEL_NEEDS[model]
+    raw = {key: cfg.get(key) or _DEFAULTS[key] for key in needs}
+    raw.update((key, cfg[key]) for key in optional if cfg.get(key))
     try:
+        kw = {name: parse_coupling(g, raw[key])
+              for key, name in (("t", "t"), ("u", "u"), ("j", "j"), ("g", "g_ep"))
+              if key in raw}
+        for key, kind in (("omega", float), ("j_kondo", float), ("n_max", int)):
+            if key in raw:
+                kw[key] = kind(raw[key])
         return ModelSpec(model, g, **kw)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -136,7 +153,26 @@ def _spec_on_graph(cfg: dict, g: Graph) -> ModelSpec:
 
 def build_spec(cfg: dict) -> ModelSpec:
     g = parse_lattice(cfg.get("lattice"), cfg.get("lattice_file"))
-    return _spec_on_graph(cfg, g)
+    spec = _spec_on_graph(cfg, g)
+    try:
+        check_packable(g.vertex_count, spec.subspace())
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    return spec
+
+
+def _sector_m(cfg: dict, spec: ModelSpec) -> float:
+    """The ``--m`` of build and diagonalize (default 0): a number that is a
+    multiple of 1/2 and names a nonempty sector."""
+    text = cfg.get("m") or "0"
+    try:
+        m = float(text)
+        twice_m = twice_value(m)
+    except ValueError as exc:
+        raise CliError(f"bad --m {text!r}: {exc}") from exc
+    if twice_m not in spec.sector_values():
+        raise CliError(f"empty sector: M={text}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +235,7 @@ def _cmd_lattice(cfg: dict) -> int:
 
 def _cmd_build(cfg: dict) -> int:
     spec = build_spec(cfg)
-    m = float(cfg.get("m", 0) or 0)
+    m = _sector_m(cfg, spec)
     h = build(spec, m)
     if cfg.get("coo"):
         Path(cfg["coo"]).write_text(h.to_coo_text())
@@ -209,7 +245,7 @@ def _cmd_build(cfg: dict) -> int:
 
 def _cmd_diagonalize(cfg: dict) -> int:
     spec = build_spec(cfg)
-    m = float(cfg.get("m", 0) or 0)
+    m = _sector_m(cfg, spec)
     h = build(spec, m)
     gs = ground_space(h.matrix, seed=int(cfg.get("seed", 0) or 0))
     report = {"model": {"model": spec.model, "vertices": spec.graph.vertex_count},
@@ -258,6 +294,10 @@ def _cmd_scan(cfg: dict) -> int:
     return EXIT_PASS if report.ok else EXIT_THEOREM
 
 
+_PAIRS = {"hubbard-mlm": ("hubbard", "mlm"),
+          "holstein-hubbard": ("holstein_hubbard", "hubbard")}
+
+
 def _cmd_pair(cfg: dict) -> int:
     kind = cfg.get("pair")
     if not kind:
@@ -267,17 +307,16 @@ def _cmd_pair(cfg: dict) -> int:
         model = kind[len("nesting-"):]
         g_small = parse_lattice(cfg.get("lattice_small"), None)
         g_big = parse_lattice(cfg.get("lattice"), cfg.get("lattice_file"))
+        _reject_unread(cfg, ())
         report = vf.verify_nesting_pair(model, g_small, g_big)
     else:
         g = parse_lattice(cfg.get("lattice"), cfg.get("lattice_file"))
-        if kind == "hubbard-mlm":
-            spec_a = _spec_on_graph({**cfg, "model": "hubbard"}, g)
-            spec_b = _spec_on_graph({**cfg, "model": "mlm"}, g)
-        elif kind == "holstein-hubbard":
-            spec_a = _spec_on_graph({**cfg, "model": "holstein_hubbard"}, g)
-            spec_b = _spec_on_graph({**cfg, "model": "hubbard"}, g)
-        else:
+        models = _PAIRS.get(kind)
+        if models is None:
             raise CliError(f"unknown pair kind {kind!r}")
+        _reject_unread(cfg, models)
+        spec_a, spec_b = (_spec_on_graph({**_only_read(cfg, model), "model": model}, g)
+                          for model in models)
         report = vf.verify_stability_pair(spec_a, spec_b, seed=seed)
     d = report.to_dict()
     if cfg.get("out"):
@@ -352,9 +391,13 @@ def run(argv=None) -> int:
     try:
         if args.config:
             cfg.update(parse_config_file(args.config))
-        for key, value in vars(args).items():
-            if key != "config" and value is not None:
-                cfg[key] = value
+        flags = {key: value for key, value in vars(args).items()
+                 if key != "config" and value is not None}
+        model = flags.get("model")
+        if model in _MODEL_NEEDS and cfg.get("model") not in (None, model):
+            # the file's couplings served the model it named
+            cfg = _only_read(cfg, model)
+        cfg.update(flags)
         command = cfg.get("command")
         if command not in _COMMANDS:
             raise CliError(f"unknown command {command!r}")

@@ -29,7 +29,7 @@ it, and the sampled positivity check) refuse dimensions above
 ``spectra.DENSE_THRESHOLD`` before they allocate them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +38,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from .fock import (SectorBasis, hubbard_labels, hubbard_sign_table,
-                   kondo_doubled_sets, kondo_sign_table, mlm_sign_table,
+                   kondo_labels, kondo_sign_table, mlm_sign_table,
                    nt_sign_table)
 from .operators import SparseOperator, embed_isometry, nesting_projection
 from .spectra import DENSE_THRESHOLD, GroundSpace, ground_space
@@ -102,10 +102,9 @@ class PSDMatrixCone:
     signs: np.ndarray
     row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]       # per basis index: (row, col) positions
+    pairs: tuple[np.ndarray, np.ndarray]   # (row, column) positions per basis index
     basis: SectorBasis | None = None
     name: str = "psd-matrix"
-    _diag: tuple[int, ...] = field(default=(), repr=False)
 
     @property
     def dim(self) -> int:
@@ -113,25 +112,29 @@ class PSDMatrixCone:
 
     def coefficient_matrix(self, psi: np.ndarray) -> np.ndarray:
         a = np.zeros((len(self.row_labels), len(self.col_labels)), dtype=psi.dtype)
-        dist = self.signs * psi
-        for i, (r, c) in enumerate(self.pairs):
-            a[r, c] = dist[i]
+        a[self.pairs] = self.signs * psi
         return a
 
     def vector_of_matrix(self, a: np.ndarray) -> np.ndarray:
-        psi = np.empty(self.dim, dtype=a.dtype)
-        for i, (r, c) in enumerate(self.pairs):
-            psi[i] = a[r, c]
-        return self.signs * psi
+        return self.signs * a[self.pairs]
 
     def order_unit(self) -> np.ndarray:
         """Coefficient array equal to the identity on the diagonal labels."""
-        a = np.zeros((len(self.row_labels), len(self.col_labels)))
-        for r, lbl in enumerate(self.row_labels):
-            c = self.col_labels.index(lbl) if lbl in self.col_labels else None
-            if c is not None:
-                a[r, c] = 1.0
-        return self.vector_of_matrix(a)
+        rows, cols = self.pairs
+        return self.signs * (np.array(self.row_labels)[rows]
+                             == np.array(self.col_labels)[cols])
+
+    def label_units(self) -> list[np.ndarray]:
+        """The members with coefficient array one on a single diagonal label
+        and zero elsewhere, in label order."""
+        _, rows, cols = np.intersect1d(self.row_labels, self.col_labels,
+                                       return_indices=True)
+        out = []
+        for r, c in zip(rows, cols):
+            a = np.zeros((len(self.row_labels), len(self.col_labels)))
+            a[r, c] = 1.0
+            out.append(self.vector_of_matrix(a))
+        return out
 
 
 Cone = DiagonalCone | PSDMatrixCone
@@ -153,36 +156,32 @@ def nt_cone(basis: SectorBasis) -> DiagonalCone:
                         basis, "one-hole-diagonal")
 
 
+def _psd_cone(row_keys, col_keys, signs, basis: SectorBasis, name: str
+              ) -> PSDMatrixCone:
+    rows, pair_rows = np.unique(row_keys, return_inverse=True)
+    cols, pair_cols = np.unique(col_keys, return_inverse=True)
+    return PSDMatrixCone(np.array(signs, dtype=float), tuple(rows.tolist()),
+                         tuple(cols.tolist()), (pair_rows, pair_cols), basis, name)
+
+
 def hubbard_cone(basis: SectorBasis) -> PSDMatrixCone:
-    labels = hubbard_labels(basis)
-    rows = tuple(sorted({x for x, _ in labels}))
-    cols = tuple(sorted({y for _, y in labels}))
-    ridx = {x: i for i, x in enumerate(rows)}
-    cidx = {y: i for i, y in enumerate(cols)}
-    pairs = tuple((ridx[x], cidx[y]) for x, y in labels)
-    return PSDMatrixCone(np.array(hubbard_sign_table(basis), dtype=float),
-                         rows, cols, pairs, basis, "half-filled-psd")
+    labels = np.array(hubbard_labels(basis), dtype=np.uint64).reshape(-1, 2)
+    return _psd_cone(labels[:, 0], labels[:, 1], hubbard_sign_table(basis),
+                     basis, "half-filled-psd")
 
 
 def kondo_cone(basis: SectorBasis, coupling_sign: str) -> PSDMatrixCone:
-    n = basis.n_sites
-    labels = [kondo_doubled_sets(s, n) for s in basis.states]
-    rows = tuple(sorted({u for u, _ in labels}))
-    cols = tuple(sorted({v for _, v in labels}))
-    ridx = {u: i for i, u in enumerate(rows)}
-    cidx = {v: i for i, v in enumerate(cols)}
-    pairs = tuple((ridx[u], cidx[v]) for u, v in labels)
-    return PSDMatrixCone(np.array(kondo_sign_table(basis, coupling_sign), dtype=float),
-                         rows, cols, pairs, basis, f"kondo-psd-{coupling_sign}")
+    u, v = kondo_labels(basis)
+    return _psd_cone(u, v, kondo_sign_table(basis, coupling_sign),
+                     basis, f"kondo-psd-{coupling_sign}")
 
 
 def kondo_diagonal_restriction(basis: SectorBasis, coupling_sign: str
                                ) -> tuple[np.ndarray, DiagonalCone]:
     """Indices of the singly-occupied-conduction states and the diagonal cone
     they span (the doubled-site half-filled cone)."""
-    full = (1 << basis.n_sites) - 1
-    idx = np.array([i for i, s in enumerate(basis.states)
-                    if (s.up | s.dn) == full and not (s.up & s.dn)], dtype=int)
+    up, dn = basis.fields()[:2]
+    idx = np.flatnonzero(((up | dn) == (1 << basis.n_sites) - 1) & ((up & dn) == 0))
     signs = np.array(kondo_sign_table(basis, coupling_sign), dtype=float)[idx]
     return idx, DiagonalCone(signs, None, f"kondo-diagonal-{coupling_sign}")
 
@@ -250,13 +249,7 @@ def _sample_psd_members(cone: PSDMatrixCone, count: int, seed: int) -> np.ndarra
     columns of one block."""
     rng = np.random.default_rng(seed)
     nr = len(cone.row_labels)
-    out = []
-    shared = [lbl for lbl in cone.row_labels if lbl in cone.col_labels]
-    cidx = {lbl: i for i, lbl in enumerate(cone.col_labels)}
-    for lbl in shared:
-        a = np.zeros((nr, len(cone.col_labels)))
-        a[cone.row_labels.index(lbl), cidx[lbl]] = 1.0
-        out.append(cone.vector_of_matrix(a))
+    out = cone.label_units()
     for _ in range(count):
         rank = int(rng.integers(1, nr + 1))
         gmat = rng.standard_normal((nr, rank))
@@ -452,13 +445,7 @@ def _extreme_rays(cone: Cone, samples: int, seed: int) -> list[np.ndarray]:
         return rays
     rng = np.random.default_rng(seed)
     nr = len(cone.row_labels)
-    rays = []
-    for r in range(nr):
-        a = np.zeros((nr, len(cone.col_labels)))
-        lbl = cone.row_labels[r]
-        if lbl in cone.col_labels:
-            a[r, cone.col_labels.index(lbl)] = 1.0
-            rays.append(cone.vector_of_matrix(a))
+    rays = cone.label_units()
     for _ in range(samples):
         v = rng.standard_normal(nr)
         rays.append(cone.vector_of_matrix(np.outer(v, v)))

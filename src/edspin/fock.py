@@ -1,4 +1,4 @@
-"""Bit-encoded many-body bases with exact fermionic sign bookkeeping.
+"""Packed many-body bases with exact fermionic sign bookkeeping.
 
 Spin-orbital order (fixed globally, all Jordan-Wigner signs refer to it):
 site-major, up before down; for two-species (conduction + localized) bases,
@@ -6,6 +6,21 @@ conduction before localized at each site.  Orbital index:
 
     one species : orb(x, s)        = 2*x + s            (s: 0 = up, 1 = down)
     two species : orb(x, sp, s)    = 4*x + 2*sp + s     (sp: 0 = c, 1 = f)
+
+A state is stored as one packed word: its site masks, each ``n`` bits wide
+(bit x = site x), concatenated species-major with ``up`` most significant,
+
+    one species : up | dn                two species : up | dn | fup | fdn
+
+so the integer order of the words is the lexicographic order of
+(up, dn, fup, fdn).  A sector basis is the sorted ``uint64`` array of its
+words; a phonon cutoff ``n_max`` makes it the Kronecker product with the
+(n_max + 1)^n phonon occupations, phonons minor, so row
+``i * phonon_dim + p`` is electron state ``i`` with phonon occupation ``p``
+(site 0 the most significant digit).  A word holds 64 bits: one species
+allows n <= 32 sites, two species n <= 16.  ``orbital_masks`` maps each
+orbital to its bit in the word and to the bits of the orbitals preceding
+it, whose occupied count gives the Jordan-Wigner sign.
 
 A canonical basis state is the ascending-orbital product of creation
 operators on the vacuum; every signed basis vector used by the positivity
@@ -17,10 +32,15 @@ Half-integer quantum numbers are carried as twice-value integers.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache
+from itertools import accumulate, product
 from math import comb
 
-from .lattice import Bipartition, Graph, bipartition
+import numpy as np
+
+from .lattice import Graph, bipartition
+
+WORD_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +105,6 @@ class BasisState:
     fdn: int = 0
     ph: tuple[int, ...] = ()
 
-    def orbital_occ(self, n_sites: int, species: int) -> int:
-        """Packed occupation integer in global spin-orbital order."""
-        occ = 0
-        if species == 1:
-            for x in range(n_sites):
-                occ |= ((self.up >> x) & 1) << (2 * x)
-                occ |= ((self.dn >> x) & 1) << (2 * x + 1)
-        else:
-            for x in range(n_sites):
-                occ |= ((self.up >> x) & 1) << (4 * x)
-                occ |= ((self.dn >> x) & 1) << (4 * x + 1)
-                occ |= ((self.fup >> x) & 1) << (4 * x + 2)
-                occ |= ((self.fdn >> x) & 1) << (4 * x + 3)
-        return occ
-
     def sort_key(self) -> tuple:
         return (self.up, self.dn, self.fup, self.fdn, self.ph)
 
@@ -113,8 +118,35 @@ def magnetization(s: BasisState):
 
 
 # ---------------------------------------------------------------------------
-# packed-orbital elementary operators
+# packed words and elementary operators
 # ---------------------------------------------------------------------------
+
+def pack(fields, n_sites: int):
+    """Packed word(s) of the site masks (up, dn[, fup, fdn]); ints or uint64
+    arrays, which broadcast."""
+    word = 0
+    for mask in fields:
+        word = (word << n_sites) | mask
+    return word
+
+
+def unpack(words, n_sites: int, species_count: int) -> tuple:
+    """Site masks (up, dn) or (up, dn, fup, fdn) of packed word(s)."""
+    k = 2 * species_count
+    full = (1 << n_sites) - 1
+    return tuple((words >> ((k - 1 - f) * n_sites)) & full for f in range(k))
+
+
+@cache
+def orbital_masks(n_sites: int, species_count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per orbital index: its bit in the packed word, and the bits of every
+    orbital preceding it in the spin-orbital order."""
+    k = 2 * species_count
+    bit = tuple(1 << ((k - 1 - orb % k) * n_sites + orb // k)
+                for orb in range(k * n_sites))
+    before = tuple(accumulate(bit[:-1], int.__or__, initial=0))
+    return bit, before
+
 
 def orbital_index(x: int, spin: int, species: int = 0, species_count: int = 1) -> int:
     if species_count == 1:
@@ -122,102 +154,93 @@ def orbital_index(x: int, spin: int, species: int = 0, species_count: int = 1) -
     return 4 * x + 2 * species + spin
 
 
-def occ_annihilate(occ: int, orb: int) -> tuple[int, int] | None:
-    """Remove orbital ``orb``; sign is (-1)^(occupied orbitals preceding it)."""
-    if not (occ >> orb) & 1:
+def _flip(word: int, orb: int, create: bool, masks) -> tuple[int, int] | None:
+    """c*_orb (``create``) or c_orb on a packed word: (word, sign), or None
+    when it vanishes; the sign is (-1)^(occupied orbitals preceding orb)."""
+    bit, before = masks[0][orb], masks[1][orb]
+    if bool(word & bit) == create:
         return None
-    sign = -1 if (occ & ((1 << orb) - 1)).bit_count() & 1 else 1
-    return occ & ~(1 << orb), sign
+    return word ^ bit, -1 if (word & before).bit_count() & 1 else 1
 
 
-def occ_create(occ: int, orb: int) -> tuple[int, int] | None:
-    if (occ >> orb) & 1:
+def _apply_one(s: BasisState, x: int, spin: int, n_sites: int, species: int,
+               species_count: int, create: bool) -> tuple[BasisState, int] | None:
+    fields = (s.up, s.dn, s.fup, s.fdn)[:2 * species_count]
+    res = _flip(pack(fields, n_sites), orbital_index(x, spin, species, species_count),
+                create, orbital_masks(n_sites, species_count))
+    if res is None:
         return None
-    sign = -1 if (occ & ((1 << orb) - 1)).bit_count() & 1 else 1
-    return occ | (1 << orb), sign
-
-
-def _unpack(occ: int, n_sites: int, species_count: int, ph: tuple[int, ...]) -> BasisState:
-    up = dn = fup = fdn = 0
-    if species_count == 1:
-        for x in range(n_sites):
-            up |= ((occ >> (2 * x)) & 1) << x
-            dn |= ((occ >> (2 * x + 1)) & 1) << x
-    else:
-        for x in range(n_sites):
-            up |= ((occ >> (4 * x)) & 1) << x
-            dn |= ((occ >> (4 * x + 1)) & 1) << x
-            fup |= ((occ >> (4 * x + 2)) & 1) << x
-            fdn |= ((occ >> (4 * x + 3)) & 1) << x
-    return BasisState(up, dn, fup, fdn, ph)
+    return BasisState(*unpack(res[0], n_sites, species_count), ph=s.ph), res[1]
 
 
 def apply_annihilation(s: BasisState, x: int, spin: int, n_sites: int,
                        species: int = 0, species_count: int = 1
                        ) -> tuple[BasisState, int] | None:
     """c_{x spin} on ``s``; ``None`` if the orbital is empty."""
-    occ = s.orbital_occ(n_sites, species_count)
-    res = occ_annihilate(occ, orbital_index(x, spin, species, species_count))
-    if res is None:
-        return None
-    return _unpack(res[0], n_sites, species_count, s.ph), res[1]
+    return _apply_one(s, x, spin, n_sites, species, species_count, False)
 
 
 def apply_creation(s: BasisState, x: int, spin: int, n_sites: int,
                    species: int = 0, species_count: int = 1
                    ) -> tuple[BasisState, int] | None:
-    occ = s.orbital_occ(n_sites, species_count)
-    res = occ_create(occ, orbital_index(x, spin, species, species_count))
-    if res is None:
-        return None
-    return _unpack(res[0], n_sites, species_count, s.ph), res[1]
+    return _apply_one(s, x, spin, n_sites, species, species_count, True)
 
 
 # ---------------------------------------------------------------------------
 # sector enumeration
 # ---------------------------------------------------------------------------
 
-def _masks_with_popcount(n_sites: int, k: int, allowed: int | None = None):
-    sites = range(n_sites) if allowed is None else [x for x in range(n_sites) if (allowed >> x) & 1]
-    for combo in combinations(sites, k):
-        m = 0
-        for x in combo:
-            m |= 1 << x
-        yield m
+def _popcount_masks(n_sites: int, k: int) -> np.ndarray:
+    """Ascending array of the ``n_sites``-bit masks with ``k`` bits set."""
+    none = np.zeros(0, np.uint64)
+    rows = {0: np.zeros(1, np.uint64)}   # j: masks of the bits so far with j set
+    for b in range(n_sites):
+        # only the j that can still reach k with the bits above b
+        rows = {j: np.concatenate((rows.get(j, none), rows.get(j - 1, none) | (1 << b)))
+                for j in range(max(0, k - (n_sites - b - 1)), k + 1)}
+    return rows.get(k, none)
 
 
 def sector_twice_m_values(g: Graph, kind: SubspaceKind) -> list[int]:
     """All S3 eigenvalues (twice-values) with a nonempty sector."""
     n = g.vertex_count
     ne = kind.electron_count(n)
-    vals = []
-    if kind.kind == "full":
-        for n_up in range(max(0, ne - n), min(n, ne) + 1):
-            vals.append(2 * n_up - ne)
-    elif kind.kind == "single_occupancy":
-        vals = [2 * k - n for k in range(n + 1)]
-    elif kind.kind == "one_hole":
-        vals = [2 * k - (n - 1) for k in range(n)]
-    else:  # kondo: 2n spin-1/2 particles, conduction filling n
-        for n_up in range(0, 2 * n + 1):
-            vals.append(2 * n_up - 2 * n)
-        vals = sorted(set(vals))
-    return sorted(set(vals))
+    # full: at most n electrons of each spin; the others: any up count
+    low, high = (max(0, ne - n), min(n, ne)) if kind.kind == "full" else (0, ne)
+    return [2 * n_up - ne for n_up in range(low, high + 1)]
 
 
-@dataclass(frozen=True)
+def twice_value(m) -> int:
+    """2m as an integer; ``ValueError`` unless m is a multiple of 1/2."""
+    twice = 2 * m
+    if not float(twice).is_integer():
+        raise ValueError(f"M={m} is not a multiple of 1/2")
+    return int(twice)
+
+
+def check_packable(n_sites: int, kind: SubspaceKind) -> None:
+    """``ValueError`` when a packed state of ``kind`` on ``n_sites`` sites
+    needs more than one 64-bit word."""
+    bits = 2 * kind.species_count * n_sites
+    if bits > WORD_BITS:
+        raise ValueError(f"{kind.kind} states on {n_sites} sites need {bits} bits; "
+                         f"a packed state holds {WORD_BITS}")
+
+
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """Ordered, index-mapped basis of a fixed (subspace kind, N, M) sector."""
+    """Sorted packed electron states of a fixed (subspace kind, N, M) sector,
+    times the phonon factor when the kind has a cutoff."""
 
     graph: Graph
     subspace: SubspaceKind
     n_electrons: int
     twice_m: int | None
-    states: tuple[BasisState, ...]
+    words: np.ndarray                 # sorted uint64 packed electron states
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.electron_dim * self.phonon_dim
 
     @property
     def n_sites(self) -> int:
@@ -235,78 +258,74 @@ class SectorBasis:
 
     @property
     def electron_dim(self) -> int:
-        return self.dim // self.phonon_dim
+        return len(self.words)
 
-    def index_of(self, s: BasisState) -> int | None:
-        return self._index.get(s.sort_key())
+    def fields(self) -> tuple[np.ndarray, ...]:
+        """Site masks (up, dn[, fup, fdn]) of every basis state, in row order."""
+        return unpack(np.repeat(self.words, self.phonon_dim), self.n_sites,
+                      self.species_count)
+
+    def lookup(self, words: np.ndarray) -> np.ndarray:
+        """Electron-factor row of each packed word, -1 where it is absent."""
+        i = np.searchsorted(self.words, words)
+        found = self.words[np.minimum(i, len(self.words) - 1)] == words
+        return np.where(found, i, -1)
+
+    # BasisState view, for callers outside the array code ---------------------
 
     @property
-    def _index(self) -> dict:
-        if "_index_cache" not in self.__dict__:
-            cache = {s.sort_key(): i for i, s in enumerate(self.states)}
-            self.__dict__["_index_cache"] = cache
-        return self.__dict__["_index_cache"]
+    def states(self) -> tuple[BasisState, ...]:
+        """Every basis state as a ``BasisState``, in row order."""
+        n_max = self.subspace.n_max
+        phonons = [()] if n_max is None else list(product(range(n_max + 1),
+                                                           repeat=self.n_sites))
+        fields = zip(*(f.tolist() for f in unpack(self.words, self.n_sites,
+                                                   self.species_count)))
+        return tuple(BasisState(*masks, ph=ph) for masks in fields for ph in phonons)
 
-    def electron_states(self) -> tuple[BasisState, ...]:
-        """Electron factor of the basis (phonon occupancies stripped)."""
-        if self.subspace.n_max is None:
-            return self.states
-        step = self.phonon_dim
-        return tuple(BasisState(s.up, s.dn, s.fup, s.fdn)
-                     for s in self.states[::step])
+    def index_of(self, s: BasisState) -> int | None:
+        """Row of ``s``, or None when it is not a state of this basis."""
+        k, n, n_max = 2 * self.species_count, self.n_sites, self.subspace.n_max
+        masks = (s.up, s.dn, s.fup, s.fdn)
+        if (any(masks[k:]) or max(masks) >> n or len(s.ph) != (0 if n_max is None else n)
+                or not all(0 <= p <= n_max for p in s.ph)):
+            return None
+        i = int(self.lookup(np.uint64(pack(masks[:k], n))))
+        if i < 0:
+            return None
+        for p in s.ph:
+            i = i * (n_max + 1) + p
+        return i
 
 
-def _electron_states(g: Graph, kind: SubspaceKind, n_electrons: int,
-                     twice_m: int | None) -> list[BasisState]:
-    n = g.vertex_count
-    out: list[BasisState] = []
+def _sector_words(n: int, kind: SubspaceKind, n_electrons: int,
+                  twice_m: int) -> np.ndarray:
+    """Packed states of one nonempty sector, unsorted."""
+    full = (1 << n) - 1
+    n_up = (twice_m + n_electrons) // 2
+    masks = _popcount_masks
+    if kind.kind == "full":
+        up, dn = masks(n, n_up), masks(n, n_electrons - n_up)
+        return pack((up[:, None], dn[None, :]), n).ravel()
     if kind.kind == "single_occupancy":
-        for t in (sector_twice_m_values(g, kind) if twice_m is None else [twice_m]):
-            n_up = (t + n) // 2
-            if (t + n) % 2 or not 0 <= n_up <= n:
-                raise ValueError(f"empty sector: M twice-value {t}")
-            full = (1 << n) - 1
-            for up in _masks_with_popcount(n, n_up):
-                out.append(BasisState(up, full & ~up))
-    elif kind.kind == "full":
-        for t in (sector_twice_m_values(g, kind) if twice_m is None else [twice_m]):
-            if (t + n_electrons) % 2:
-                raise ValueError(f"empty sector: M twice-value {t}")
-            n_up = (t + n_electrons) // 2
-            n_dn = n_electrons - n_up
-            if not (0 <= n_up <= n and 0 <= n_dn <= n):
-                raise ValueError(f"empty sector: M twice-value {t}")
-            for up in _masks_with_popcount(n, n_up):
-                for dn in _masks_with_popcount(n, n_dn):
-                    out.append(BasisState(up, dn))
-    elif kind.kind == "one_hole":
-        ne = n - 1
-        for t in (sector_twice_m_values(g, kind) if twice_m is None else [twice_m]):
-            if (t + ne) % 2 or not 0 <= (t + ne) // 2 <= ne:
-                raise ValueError(f"empty sector: M twice-value {t}")
-            n_up = (t + ne) // 2
-            full = (1 << n) - 1
-            for hole in range(n):
-                rest = full & ~(1 << hole)
-                for up in _masks_with_popcount(n, n_up, allowed=rest):
-                    out.append(BasisState(up, rest & ~up))
-    else:  # kondo: f-sites singly occupied, conduction at half filling
-        for t in (sector_twice_m_values(g, kind) if twice_m is None else [twice_m]):
-            for fup in range(1 << n):
-                fdn = ((1 << n) - 1) & ~fup
-                t_c = t - (2 * fup.bit_count() - n)
-                if (t_c + n) % 2:
-                    continue
-                n_cup = (t_c + n) // 2
-                n_cdn = n - n_cup
-                if not (0 <= n_cup <= n and 0 <= n_cdn <= n):
-                    continue
-                for up in _masks_with_popcount(n, n_cup):
-                    for dn in _masks_with_popcount(n, n_cdn):
-                        out.append(BasisState(up, dn, fup, fdn))
-        if twice_m is not None and not out:
-            raise ValueError(f"empty sector: M twice-value {twice_m}")
-    return out
+        up = masks(n, n_up)
+        return pack((up, full ^ up), n)
+    parts = []
+    if kind.kind == "one_hole":
+        low = masks(n - 1, n_up)
+        for hole in range(n):
+            # spread the (n-1)-site masks over the sites other than the hole
+            up = ((low >> hole) << (hole + 1)) | (low & ((1 << hole) - 1))
+            parts.append(pack((up, full ^ (1 << hole) ^ up), n))
+        return np.concatenate(parts)
+    # kondo: f-sites singly occupied, conduction at half filling
+    for n_fup in range(max(0, n_up - n), min(n, n_up) + 1):
+        n_cup = n_up - n_fup
+        fup = masks(n, n_fup)
+        parts.append(pack((masks(n, n_cup)[:, None, None],
+                           masks(n, n - n_cup)[None, :, None],
+                           fup, full ^ fup), n).ravel())
+    return np.concatenate(parts)
 
 
 def enumerate_sector(g: Graph, kind: SubspaceKind, n_electrons: int | None = None,
@@ -314,65 +333,50 @@ def enumerate_sector(g: Graph, kind: SubspaceKind, n_electrons: int | None = Non
     """Complete sorted enumeration of a sector; ``m=None`` takes every sector.
 
     ``n_electrons`` is only consulted for ``full`` kinds and must then match
-    the kind's electron count.
+    the kind's electron count.  Raises ``ValueError`` before allocating when
+    a packed state needs more than 64 bits, or when 2m is not an integer.
     """
-    ne = kind.electron_count(g.vertex_count)
+    n = g.vertex_count
+    check_packable(n, kind)
+    ne = kind.electron_count(n)
     if n_electrons is not None and n_electrons != ne:
         raise ValueError(f"electron count {n_electrons} inconsistent with kind (expects {ne})")
-    twice_m = None if m is None else int(round(2 * m))
-    if twice_m is not None and twice_m not in sector_twice_m_values(g, kind):
+    values = sector_twice_m_values(g, kind)
+    twice_m = None if m is None else twice_value(m)
+    if twice_m is not None and twice_m not in values:
         raise ValueError(f"empty sector: M={m}")
-    elec = _electron_states(g, kind, ne, twice_m)
-    if kind.n_max is not None:
-        levels = range(kind.n_max + 1)
-        states = [BasisState(s.up, s.dn, s.fup, s.fdn, ph)
-                  for s in elec
-                  for ph in product(levels, repeat=g.vertex_count)]
-    else:
-        states = elec
-    states.sort(key=BasisState.sort_key)
-    return SectorBasis(g, kind, ne, twice_m, tuple(states))
+    words = np.sort(np.concatenate([_sector_words(n, kind, ne, t)
+                                    for t in (values if twice_m is None else [twice_m])]))
+    return SectorBasis(g, kind, ne, twice_m, words)
 
 
 def sector_dimension(g: Graph, kind: SubspaceKind, m) -> int:
     """Combinatorial dimension of the electron sector (no phonon factor)."""
     n = g.vertex_count
-    t = int(round(2 * m))
-    if kind.kind == "single_occupancy":
-        return comb(n, (t + n) // 2) if (t + n) % 2 == 0 else 0
-    if kind.kind == "one_hole":
-        ne = n - 1
-        return n * comb(ne, (t + ne) // 2) if (t + ne) % 2 == 0 else 0
+    t = twice_value(m)
+    if t not in sector_twice_m_values(g, kind):
+        return 0
+    ne = kind.electron_count(n)
+    n_up = (t + ne) // 2
     if kind.kind == "full":
-        ne = kind.electron_count(n)
-        if (t + ne) % 2:
-            return 0
-        n_up = (t + ne) // 2
-        n_dn = ne - n_up
-        if not (0 <= n_up <= n and 0 <= n_dn <= n):
-            return 0
-        return comb(n, n_up) * comb(n, n_dn)
-    total = 0
-    for tf in range(-n, n + 1, 2):
-        n_fup = (tf + n) // 2
-        t_c = t - tf
-        if (t_c + n) % 2:
-            continue
-        n_cup = (t_c + n) // 2
-        if 0 <= n_cup <= n:
-            total += comb(n, n_fup) * comb(n, n_cup) * comb(n, n - n_cup)
-    return total
+        return comb(n, n_up) * comb(n, ne - n_up)
+    if kind.kind == "single_occupancy":
+        return comb(n, n_up)
+    if kind.kind == "one_hole":
+        return n * comb(n - 1, n_up)
+    return sum(comb(n, n_fup) * comb(n, n_up - n_fup) ** 2
+               for n_fup in range(max(0, n_up - n), min(n, n_up) + 1))
 
 
 # ---------------------------------------------------------------------------
 # signed distinguished-basis vectors
 # ---------------------------------------------------------------------------
 
-def _apply_product(occ: int, orbs: list[int], create: bool) -> tuple[int, int] | None:
+def _apply_product(occ: int, orbs: list[int], create: bool, masks) -> tuple[int, int] | None:
     """Ascending left-to-right operator product: rightmost factor acts first."""
     sign = 1
     for orb in reversed(sorted(orbs)):
-        res = occ_create(occ, orb) if create else occ_annihilate(occ, orb)
+        res = _flip(occ, orb, create, masks)
         if res is None:
             return None
         occ, s = res
@@ -382,7 +386,8 @@ def _apply_product(occ: int, orbs: list[int], create: bool) -> tuple[int, int] |
 
 def cons_vector(n_sites: int, part_b_mask: int, up_set: int, dn_kill_set: int,
                 species_count: int = 1) -> tuple[int, int]:
-    """Signed basis vector (-1)^(|B| + |D cap B|) prod'_x [c*_up][c_dn][c*_dn] |empty>.
+    """Signed basis vector (-1)^(|B| + |D cap B|) prod'_x [c*_up][c_dn][c*_dn] |empty>,
+    as (packed word, sign).
 
     ``up_set`` is X (up creations), ``dn_kill_set`` is D (the down region
     annihilated out of the all-down reference).  The operator product is
@@ -394,20 +399,20 @@ def cons_vector(n_sites: int, part_b_mask: int, up_set: int, dn_kill_set: int,
     application (it comes out +1: a site's operators only ever cross empty
     lower orbitals).  For two species the "sites" are doubled, 2x + species.
     """
+    masks = orbital_masks(n_sites, species_count)
     site_count = n_sites * species_count
     occ = 0
     sign = 1
     for u in reversed(range(site_count)):     # rightmost (largest) site first
-        res = occ_create(occ, 2 * u + 1)
-        occ, s = res
+        occ, s = _flip(occ, 2 * u + 1, True, masks)
         sign *= s
         if (dn_kill_set >> u) & 1:
-            res = occ_annihilate(occ, 2 * u + 1)
+            res = _flip(occ, 2 * u + 1, False, masks)
             assert res is not None
             occ, s = res
             sign *= s
         if (up_set >> u) & 1:
-            res = occ_create(occ, 2 * u)
+            res = _flip(occ, 2 * u, True, masks)
             if res is None:
                 raise ValueError("up set collides with an occupied orbital")
             occ, s = res
@@ -429,7 +434,7 @@ def mlm_basis_vector(g: Graph, x_set: int, basis: SectorBasis | None = None
     if bp is None:
         raise ValueError("graph is not bipartite")
     occ, sign = cons_vector(g.vertex_count, bp.b_mask(), x_set, x_set)
-    state = _unpack(occ, g.vertex_count, 1, ())
+    state = BasisState(*unpack(occ, g.vertex_count, 1))
     if basis is None:
         return state, sign
     idx = basis.index_of(state)
@@ -451,7 +456,7 @@ def nt_basis_vector(g: Graph, sigma: tuple[int, ...]) -> tuple[BasisState, int]:
     occ = 0
     sign = 1
     orbs = [2 * x + (0 if sigma[x] == 1 else 1) for x in range(n) if x != hole]
-    occ, s = _apply_product(occ, orbs, create=True)
+    occ, s = _apply_product(occ, orbs, True, orbital_masks(n, 1))
     sign *= s
     if hole & 1:
         sign = -sign
@@ -473,35 +478,33 @@ def nt_basis_vector(g: Graph, sigma: tuple[int, ...]) -> tuple[BasisState, int]:
 def mlm_sign_table(basis: SectorBasis, part_b_mask: int | None = None) -> list[int]:
     """Signs s_i with |X_i, Xbar_i> = s_i * canonical_i over a single-occupancy basis."""
     g = basis.graph
+    n = g.vertex_count
     if part_b_mask is None:
         bp = bipartition(g)
         if bp is None:
             raise ValueError("graph is not bipartite")
         part_b_mask = bp.b_mask()
     signs = []
-    for s in basis.states:
-        occ, sign = cons_vector(g.vertex_count, part_b_mask, s.up, s.up)
-        assert occ == s.orbital_occ(g.vertex_count, 1)
+    for up, dn in zip(*(f.tolist() for f in basis.fields())):
+        occ, sign = cons_vector(n, part_b_mask, up, up)
+        assert occ == pack((up, dn), n)
         signs.append(sign)
     return signs
 
 
-def nt_sign_table(basis: SectorBasis) -> list[int]:
-    """Signs of the |sigma> vectors over a one-hole basis (phonons untouched)."""
-    n = basis.n_sites
-    signs = []
-    for s in basis.states:
-        hole_mask = ((1 << n) - 1) & ~(s.up | s.dn)
-        hole = hole_mask.bit_length() - 1
-        signs.append(-1 if hole & 1 else 1)
-    return signs
+def nt_sign_table(basis: SectorBasis) -> np.ndarray:
+    """Signs of the |sigma> vectors over a one-hole basis (phonons untouched):
+    -1 where the hole sits on an odd site."""
+    up, dn = basis.fields()
+    hole = ((1 << basis.n_sites) - 1) ^ (up | dn)
+    return np.where(np.bitwise_count(hole - 1) & 1, -1, 1)
 
 
 def hubbard_labels(basis: SectorBasis) -> list[tuple[int, int]]:
     """(X, Y) labels of a half-filled full basis: up set X, down set = complement of Y."""
-    n = basis.n_sites
-    full = (1 << n) - 1
-    return [(s.up, full & ~s.dn) for s in basis.states]
+    up, dn = basis.fields()
+    full = (1 << basis.n_sites) - 1
+    return list(zip(up.tolist(), (full ^ dn).tolist()))
 
 
 def updown_reorder_sign(x_set: int, y_set: int) -> int:
@@ -518,6 +521,23 @@ def updown_reorder_sign(x_set: int, y_set: int) -> int:
     return -1 if inv & 1 else 1
 
 
+def _decorated_signs(n_sites: int, part2: int, labels, words, species_count: int
+                     ) -> list[int]:
+    """Construction sign times up/down reorder parity, normalized per
+    particle-count block, of each (up set, complement of down) label pair;
+    each constructed vector must be the basis state of its row."""
+    signs = []
+    for (x_set, y_set), word in zip(labels, words):
+        occ, sign = cons_vector(n_sites, part2, x_set, y_set, species_count)
+        assert occ == word
+        k = x_set.bit_count()
+        sign *= updown_reorder_sign(x_set, y_set)
+        if (k * (k - 1) // 2) & 1:
+            sign = -sign
+        signs.append(sign)
+    return signs
+
+
 def hubbard_sign_table(basis: SectorBasis) -> list[int]:
     """Signs of the PSD-cone vectors over a half-filled full basis.
 
@@ -532,20 +552,9 @@ def hubbard_sign_table(basis: SectorBasis) -> list[int]:
     bp = bipartition(g)
     if bp is None:
         raise ValueError("graph is not bipartite")
-    bmask = bp.b_mask()
     n = g.vertex_count
-    full = (1 << n) - 1
-    signs = []
-    for s in basis.states:
-        y_set = full & ~s.dn
-        occ, sign = cons_vector(n, bmask, s.up, y_set)
-        assert occ == s.orbital_occ(n, 1)
-        k = s.up.bit_count()
-        sign *= updown_reorder_sign(s.up, y_set)
-        if (k * (k - 1) // 2) & 1:
-            sign = -sign
-        signs.append(sign)
-    return signs
+    words = pack(basis.fields(), n).tolist()
+    return _decorated_signs(n, bp.b_mask(), hubbard_labels(basis), words, 1)
 
 
 def kondo_doubled_site(x: int, species: int) -> int:
@@ -570,19 +579,25 @@ def kondo_part2_mask(g: Graph, coupling_sign: str) -> int:
     return mask
 
 
+def _spread(mask, n_sites: int):
+    """Bit x of a site mask (int or uint64 array) moved to bit 2x."""
+    return sum(((mask >> x) & 1) << (2 * x) for x in range(n_sites))
+
+
+def _doubled_sets(up, dn, fup, fdn, n_sites: int) -> tuple:
+    full = (1 << n_sites) - 1
+    return (_spread(up, n_sites) | _spread(fup, n_sites) << 1,
+            _spread(full ^ dn, n_sites) | _spread(full ^ fdn, n_sites) << 1)
+
+
 def kondo_doubled_sets(s: BasisState, n_sites: int) -> tuple[int, int]:
     """(U, V) doubled-site sets of a two-species state: up set and complement of down."""
-    u = v = 0
-    for x in range(n_sites):
-        if (s.up >> x) & 1:
-            u |= 1 << (2 * x)
-        if (s.fup >> x) & 1:
-            u |= 1 << (2 * x + 1)
-        if not (s.dn >> x) & 1:
-            v |= 1 << (2 * x)
-        if not (s.fdn >> x) & 1:
-            v |= 1 << (2 * x + 1)
-    return u, v
+    return _doubled_sets(s.up, s.dn, s.fup, s.fdn, n_sites)
+
+
+def kondo_labels(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(U, V) doubled-site sets of every state of a Kondo basis."""
+    return _doubled_sets(*basis.fields(), basis.n_sites)
 
 
 def kondo_sign_table(basis: SectorBasis, coupling_sign: str) -> list[int]:
@@ -593,15 +608,6 @@ def kondo_sign_table(basis: SectorBasis, coupling_sign: str) -> list[int]:
     """
     g = basis.graph
     n = g.vertex_count
-    part2 = kondo_part2_mask(g, coupling_sign)
-    signs = []
-    for s in basis.states:
-        up_doubles, v_set = kondo_doubled_sets(s, n)
-        occ, sign = cons_vector(n, part2, up_doubles, v_set, species_count=2)
-        assert occ == s.orbital_occ(n, 2)
-        k = up_doubles.bit_count()
-        sign *= updown_reorder_sign(up_doubles, v_set)
-        if (k * (k - 1) // 2) & 1:
-            sign = -sign
-        signs.append(sign)
-    return signs
+    labels = zip(*(a.tolist() for a in kondo_labels(basis)))
+    words = pack(basis.fields(), n).tolist()
+    return _decorated_signs(n, kondo_part2_mask(g, coupling_sign), labels, words, 2)

@@ -128,12 +128,10 @@ def u_effective(spec: ModelSpec) -> tuple[np.ndarray, float]:
 # building
 # ---------------------------------------------------------------------------
 
-def _electron_part(spec: ModelSpec, m) -> ops.SparseOperator:
-    """The purely electronic operator on the electron-factor sector basis."""
+def _electron_part(spec: ModelSpec, basis: SectorBasis) -> ops.SparseOperator:
+    """The purely electronic operator on an electron sector basis."""
     g = spec.graph
     n = g.vertex_count
-    kind = spec.subspace()
-    basis = enumerate_sector(g, SubspaceKind(kind.kind, kind.n_electrons, None), m=m)
     model = spec.model
     if model in ("mlm", "heisenberg"):
         if model == "mlm":
@@ -162,14 +160,17 @@ def _electron_part(spec: ModelSpec, m) -> ops.SparseOperator:
 
 
 def build(spec: ModelSpec, m) -> ops.SparseOperator:
-    """Hermitian sparse Hamiltonian of the model on its M-sector basis."""
-    elec = _electron_part(spec, m)
+    """Hermitian sparse Hamiltonian of the model on its M-sector basis.
+
+    With phonons the basis is the electron sector times the phonon factor,
+    and the electronic part acts on the electron sector alone.
+    """
+    basis = enumerate_sector(spec.graph, spec.subspace(), m=m)
+    elec = _electron_part(spec, ops.electron_basis(basis))
     if not spec.has_phonons:
         return elec
-    g = spec.graph
-    n = g.vertex_count
+    n = spec.graph.vertex_count
     n_max = spec.n_max
-    basis = spec.basis(m)
     ph_dim = basis.phonon_dim
     h = sp.kron(elec.matrix, sp.identity(ph_dim, format="csr"), format="csr")
     # omega * total phonon number

@@ -4,20 +4,25 @@ Operators are assembled directly per sector basis; applying an operator
 string to a basis state and dropping targets that fall outside the basis is
 exactly the compression P A P onto the subspace, which is what the
 constrained kinds (single occupancy, one hole, localized-spin) require.
+Each string acts on the whole array of packed states at once (Sandvik,
+arXiv:1101.3281): bit operations give the targets, the popcount of the
+bits of the preceding orbitals gives the Jordan-Wigner sign, and a binary
+search of the sorted codomain finds the target rows.
 
 Everything is real except the second spin component, which is kept as an
 explicitly complex matrix and only ever enters through compositions that are
 real again.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fock import (BasisState, SectorBasis, SubspaceKind, cons_vector,
-                   enumerate_sector, occ_annihilate, occ_create, orbital_index,
-                   sector_twice_m_values)
+                   enumerate_sector, orbital_index, orbital_masks, pack,
+                   sector_twice_m_values, unpack)
 from .lattice import Graph, bipartition
 
 HERMITICITY_TOL = 1e-12
@@ -61,79 +66,50 @@ class SparseOperator:
 # generic operator-string assembly
 # ---------------------------------------------------------------------------
 
-def _apply_string(occ: int, ops: tuple[tuple[bool, int], ...]) -> tuple[int, int] | None:
-    """Apply (create?, orbital) factors right-to-left; None if annihilated."""
-    sign = 1
-    for create, orb in reversed(ops):
-        res = occ_create(occ, orb) if create else occ_annihilate(occ, orb)
-        if res is None:
-            return None
-        occ, s = res
-        sign *= s
-    return occ, sign
-
-
 def assemble(codomain: SectorBasis, domain: SectorBasis,
              terms: list[tuple[complex, tuple[tuple[bool, int], ...]]],
              hermitian: bool = False, dtype=float) -> SparseOperator:
     """Sum of coefficient * operator-string terms as a sparse matrix.
 
+    A string is (create?, orbital) factors, the rightmost acting first.
     Target states outside ``codomain`` are dropped (subspace compression).
     Phonon occupancies are untouched by fermionic strings.
     """
-    # electron-major layout: resolve fermionic strings on the electron factor
-    if domain.subspace.n_max is not None:
-        elec_dom = electron_basis(domain)
-        elec_cod = electron_basis(codomain)
-        inner = assemble(elec_cod, elec_dom, terms, hermitian=False, dtype=dtype)
-        mat = sp.kron(inner.matrix, sp.identity(domain.phonon_dim, format="csr"),
-                      format="csr")
-        return SparseOperator(mat, domain, codomain, hermitian)
-    n = domain.n_sites
-    spc = domain.species_count
-    rows, cols, vals = [], [], []
-    occ_cache = [s.orbital_occ(n, spc) for s in domain.states]
-    index = codomain._index
-    for j, occ in enumerate(occ_cache):
-        ph = domain.states[j].ph
-        for coeff, ops in terms:
-            res = _apply_string(occ, ops)
-            if res is None:
-                continue
-            target, sign = res
-            i = index.get(_state_key(target, n, spc, ph))
-            if i is None:
-                continue
-            rows.append(i)
-            cols.append(j)
-            vals.append(coeff * sign)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(codomain.dim, domain.dim), dtype=dtype)
+    bit, before = orbital_masks(domain.n_sites, domain.species_count)
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    for coeff, string in terms:
+        words, col = domain.words, np.arange(domain.electron_dim)
+        parity = np.zeros(len(words), np.uint8)
+        for create, orb in reversed(string):
+            keep = ((words & bit[orb]) == 0) == create
+            words, col, parity = words[keep], col[keep], parity[keep]
+            parity ^= np.bitwise_count(words & before[orb]) & 1
+            words = words ^ bit[orb]
+        row = codomain.lookup(words)
+        hit = row >= 0
+        rows.append(row[hit])
+        cols.append(col[hit])
+        vals.append(coeff * np.where(parity[hit], -1, 1))
+    # the sparse format's index sort is not stable, so this input order fixes
+    # the order in which duplicates are summed: column-major, term order
+    # within a column, as a loop over the domain states gives it
+    col = np.concatenate(cols)
+    order = np.argsort(col, kind="stable")
+    mat = sp.csr_matrix((np.concatenate(vals)[order],
+                         (np.concatenate(rows)[order], col[order])),
+                        shape=(codomain.electron_dim, domain.electron_dim), dtype=dtype)
     mat.sum_duplicates()
+    if domain.subspace.n_max is not None:   # electron-major: phonons minor
+        mat = sp.kron(mat, sp.identity(domain.phonon_dim, format="csr"), format="csr")
     return SparseOperator(mat, domain, codomain, hermitian)
-
-
-def _state_key(occ: int, n_sites: int, species_count: int, ph: tuple) -> tuple:
-    up = dn = fup = fdn = 0
-    if species_count == 1:
-        for x in range(n_sites):
-            up |= ((occ >> (2 * x)) & 1) << x
-            dn |= ((occ >> (2 * x + 1)) & 1) << x
-    else:
-        for x in range(n_sites):
-            up |= ((occ >> (4 * x)) & 1) << x
-            dn |= ((occ >> (4 * x + 1)) & 1) << x
-            fup |= ((occ >> (4 * x + 2)) & 1) << x
-            fdn |= ((occ >> (4 * x + 3)) & 1) << x
-    return (up, dn, fup, fdn, ph)
 
 
 def electron_basis(basis: SectorBasis) -> SectorBasis:
     """The electron factor of a phonon-product basis (identity if no phonons)."""
     if basis.subspace.n_max is None:
         return basis
-    kind = SubspaceKind(basis.subspace.kind, basis.subspace.n_electrons, None)
-    return SectorBasis(basis.graph, kind, basis.n_electrons, basis.twice_m,
-                       basis.electron_states())
+    return dataclasses.replace(basis, subspace=dataclasses.replace(basis.subspace,
+                                                                   n_max=None))
 
 
 def diagonal_operator(basis: SectorBasis, values: np.ndarray,
@@ -160,13 +136,9 @@ def creation_matrix(codomain: SectorBasis, domain: SectorBasis, x: int,
 
 def number_values(basis: SectorBasis, species: int = 0) -> np.ndarray:
     """Per-state site occupation table n[state, site] for one species."""
-    n = basis.n_sites
-    out = np.zeros((basis.dim, n))
-    for i, s in enumerate(basis.states):
-        up, dn = (s.up, s.dn) if species == 0 else (s.fup, s.fdn)
-        for x in range(n):
-            out[i, x] = ((up >> x) & 1) + ((dn >> x) & 1)
-    return out
+    up, dn = basis.fields()[2 * species:2 * species + 2]
+    sites = np.arange(basis.n_sites, dtype=np.uint64)
+    return (((up[:, None] >> sites) & 1) + ((dn[:, None] >> sites) & 1)).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +167,9 @@ def spin_op(basis: SectorBasis, x: int, i: int, species: int = 0) -> SparseOpera
     """Single-site spin component; i=2 is complex, the others real."""
     spc = basis.species_count
     if i == 3:
-        vals = np.zeros(basis.dim)
-        for k, s in enumerate(basis.states):
-            up, dn = (s.up, s.dn) if species == 0 else (s.fup, s.fdn)
-            vals[k] = 0.5 * (((up >> x) & 1) - ((dn >> x) & 1))
-        return diagonal_operator(basis, vals)
+        up, dn = basis.fields()[2 * species:2 * species + 2]
+        ups, dns = ((up >> x) & 1).astype(int), ((dn >> x) & 1).astype(int)
+        return diagonal_operator(basis, 0.5 * (ups - dns))
     if i == 1:
         terms = [(0.5, _raise_string(x, species, spc)),
                  (0.5, _lower_string(x, species, spc))]
@@ -288,11 +258,8 @@ def ladder_ops(basis_m: SectorBasis, basis_target: SectorBasis) -> SparseOperato
 
 
 def magnetization_values(basis: SectorBasis) -> np.ndarray:
-    out = np.zeros(basis.dim)
-    for i, s in enumerate(basis.states):
-        out[i] = 0.5 * (s.up.bit_count() - s.dn.bit_count()
-                        + s.fup.bit_count() - s.fdn.bit_count())
-    return out
+    counts = [np.bitwise_count(f).astype(int) for f in basis.fields()]
+    return 0.5 * (sum(counts[0::2]) - sum(counts[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +305,8 @@ def heisenberg_bond(basis: SectorBasis, x: int, y: int) -> SparseOperator:
 
 def gutzwiller(basis: SectorBasis) -> SparseOperator:
     """Projection onto configurations without doubly occupied conduction sites."""
-    vals = np.array([0.0 if (s.up & s.dn) else 1.0 for s in basis.states])
-    return diagonal_operator(basis, vals)
+    up, dn = basis.fields()[:2]
+    return diagonal_operator(basis, ((up & dn) == 0).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +315,9 @@ def gutzwiller(basis: SectorBasis) -> SparseOperator:
 
 def full_fock_basis(g: Graph) -> SectorBasis:
     """Every occupation state of the one-species Fock space over ``g``."""
-    n = g.vertex_count
-    states = [BasisState(up, dn) for up in range(1 << n) for dn in range(1 << n)]
-    states.sort(key=BasisState.sort_key)
-    kind = SubspaceKind.full(-1)
-    return SectorBasis(g, kind, -1, None, tuple(states))
+    # every (up, dn) pair: the packed words are all of 0 .. 4^n - 1
+    words = np.arange(1 << (2 * g.vertex_count), dtype=np.uint64)
+    return SectorBasis(g, SubspaceKind.full(-1), -1, None, words)
 
 
 def hole_particle(basis: SectorBasis) -> SparseOperator:
@@ -375,13 +340,12 @@ def hole_particle(basis: SectorBasis) -> SparseOperator:
         orb = orbital_index(x, 1)
         u_x = assemble(basis, basis, [(1.0, ((False, orb),)), (1.0, ((True, orb),))])
         w = w @ u_x.matrix
+    up, dn = basis.fields()
     for z in corrected:
-        vals = np.array([1.0 - 2.0 * ((s.dn >> z) & 1) for s in basis.states])
-        w = sp.diags(vals, format="csr") @ w
+        w = sp.diags(1.0 - 2.0 * ((dn >> z) & 1), format="csr") @ w
     if n % 2:
         # odd site count: the mode product flips c_up; undo with the up parity
-        vals = np.array([1.0 - 2.0 * (s.up.bit_count() & 1) for s in basis.states])
-        w = sp.diags(vals, format="csr") @ w
+        w = sp.diags(1.0 - 2.0 * (np.bitwise_count(up) & 1), format="csr") @ w
     return SparseOperator(w.tocsr(), basis, basis)
 
 
@@ -461,14 +425,9 @@ def uniform_rest_vector(g_small: Graph, g_big: Graph,
     k = rest.vertex_count
     out = []
     w = 2.0 ** (-k / 2.0)
-    full = (1 << k) - 1
     for x_set in range(1 << k):
         occ, sign = cons_vector(k, bmask, x_set, x_set)
-        up = 0
-        for x in range(k):
-            if (occ >> (2 * x)) & 1:
-                up |= 1 << x
-        out.append((BasisState(up, full & ~up), sign * w))
+        out.append((BasisState(*unpack(occ, k, 1)), sign * w))
     return out
 
 
@@ -487,16 +446,14 @@ def embed_isometry(basis_small: SectorBasis, basis_big: SectorBasis) -> SparseOp
     m = g_small.vertex_count
     rest_vec = uniform_rest_vector(g_small, g_big,
                                    signed=basis_small.subspace.kind != "one_hole")
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(basis_small.states):
-        for r, w in rest_vec:
-            big = BasisState(s.up | (r.up << m), s.dn | (r.dn << m))
-            i = basis_big.index_of(big)
-            if i is None:
-                raise ValueError("embedded state missing from the big basis")
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
+    up, dn = basis_small.fields()
+    rest = np.array([(r.up, r.dn) for r, _ in rest_vec], dtype=np.uint64) << m
+    big = pack((up[:, None] | rest[:, 0], dn[:, None] | rest[:, 1]), g_big.vertex_count)
+    rows = basis_big.lookup(big.ravel())
+    if (rows < 0).any():
+        raise ValueError("embedded state missing from the big basis")
+    cols = np.repeat(np.arange(basis_small.dim), len(rest_vec))
+    vals = np.tile([w for _, w in rest_vec], basis_small.dim)
     mat = sp.csr_matrix((vals, (rows, cols)),
                         shape=(basis_big.dim, basis_small.dim))
     return SparseOperator(mat, basis_small, basis_big)

@@ -341,12 +341,8 @@ class PairReport:
 
 def _restrict_single_occupancy(basis_full: SectorBasis, basis_single: SectorBasis,
                                psi: np.ndarray) -> np.ndarray:
-    out = np.zeros(basis_single.dim, dtype=psi.dtype)
-    for j, s in enumerate(basis_single.states):
-        i = basis_full.index_of(s)
-        if i is not None:
-            out[j] = psi[i]
-    return out
+    rows = basis_full.lookup(basis_single.words)
+    return np.where(rows >= 0, psi[rows], 0).astype(psi.dtype)
 
 
 def _restrict_phonon_vacuum(basis_ph: SectorBasis, basis_bare: SectorBasis,

@@ -7,6 +7,7 @@ from binomials.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 # symbolic second quantization ------------------------------------------------
 
@@ -143,3 +144,128 @@ def dense_diagonal_ergodicity(h, signs: np.ndarray, tol: float = 1e-10) -> dict:
     if reasons:
         out["witness"] = "; ".join(reasons)
     return out
+
+
+# per-state operator assembly -------------------------------------------------
+#
+# The package applies each operator string to the whole packed basis at once.
+# This is the per-state loop it replaced, over the ``BasisState`` view, with
+# occupations packed in spin-orbital order and a dictionary index of the
+# codomain.
+
+def _orbital_occ(s, n_sites: int, species_count: int) -> int:
+    """Occupation integer with bit 2x+s (one species) or 4x+2sp+s (two)."""
+    occ = 0
+    fields = (s.up, s.dn, s.fup, s.fdn)[:2 * species_count]
+    for x in range(n_sites):
+        for f, mask in enumerate(fields):
+            occ |= ((mask >> x) & 1) << (2 * species_count * x + f)
+    return occ
+
+
+def _state_key(occ: int, n_sites: int, species_count: int, ph: tuple) -> tuple:
+    fields = [0, 0, 0, 0]
+    for x in range(n_sites):
+        for f in range(2 * species_count):
+            fields[f] |= ((occ >> (2 * species_count * x + f)) & 1) << x
+    return (*fields, ph)
+
+
+def _apply_string(occ: int, ops) -> tuple[int, int] | None:
+    """Apply (create?, orbital) factors right-to-left; None if annihilated."""
+    sign = 1
+    for create, orb in reversed(ops):
+        if ((occ >> orb) & 1) == create:
+            return None
+        if (occ & ((1 << orb) - 1)).bit_count() & 1:
+            sign = -sign
+        occ ^= 1 << orb
+    return occ, sign
+
+
+def reference_assemble(codomain, domain, terms, hermitian=False, dtype=float):
+    """``operators.assemble`` one domain state at a time."""
+    from edspin.operators import SparseOperator, electron_basis
+    if domain.subspace.n_max is not None:
+        # electron-major layout: resolve the strings on the electron factor
+        inner = reference_assemble(electron_basis(codomain), electron_basis(domain),
+                                   terms, dtype=dtype)
+        mat = sp.kron(inner.matrix, sp.identity(domain.phonon_dim, format="csr"),
+                      format="csr")
+        return SparseOperator(mat, domain, codomain, hermitian)
+    n, spc = domain.n_sites, domain.species_count
+    index = {s.sort_key(): i for i, s in enumerate(codomain.states)}
+    rows, cols, vals = [], [], []
+    for j, s in enumerate(domain.states):
+        occ = _orbital_occ(s, n, spc)
+        for coeff, ops in terms:
+            res = _apply_string(occ, ops)
+            if res is None:
+                continue
+            target, sign = res
+            i = index.get(_state_key(target, n, spc, s.ph))
+            if i is None:
+                continue
+            rows.append(i)
+            cols.append(j)
+            vals.append(coeff * sign)
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(codomain.dim, domain.dim),
+                        dtype=dtype)
+    mat.sum_duplicates()
+    return SparseOperator(mat, domain, codomain, hermitian)
+
+
+def reference_number_values(basis, species: int = 0) -> np.ndarray:
+    out = np.zeros((basis.dim, basis.n_sites))
+    for i, s in enumerate(basis.states):
+        up, dn = (s.up, s.dn) if species == 0 else (s.fup, s.fdn)
+        for x in range(basis.n_sites):
+            out[i, x] = ((up >> x) & 1) + ((dn >> x) & 1)
+    return out
+
+
+def reference_magnetization_values(basis) -> np.ndarray:
+    out = np.zeros(basis.dim)
+    for i, s in enumerate(basis.states):
+        out[i] = 0.5 * (s.up.bit_count() - s.dn.bit_count()
+                        + s.fup.bit_count() - s.fdn.bit_count())
+    return out
+
+
+def _raise_lower(x: int, species: int, spc: int):
+    k = 2 * spc
+    up, dn = k * x + 2 * species, k * x + 2 * species + 1
+    return ((True, up), (False, dn)), ((True, dn), (False, up))
+
+
+def reference_spin_op(basis, x: int, i: int, species: int = 0):
+    """Matrix of one site's spin component."""
+    if i == 3:
+        vals = np.zeros(basis.dim)
+        for k, s in enumerate(basis.states):
+            up, dn = (s.up, s.dn) if species == 0 else (s.fup, s.fdn)
+            vals[k] = 0.5 * (((up >> x) & 1) - ((dn >> x) & 1))
+        return sp.diags(vals, format="csr")
+    raise_, lower = _raise_lower(x, species, basis.species_count)
+    if i == 1:
+        return reference_assemble(basis, basis, [(0.5, raise_), (0.5, lower)]).matrix
+    return reference_assemble(basis, basis, [(-0.5j, raise_), (0.5j, lower)],
+                              dtype=complex).matrix
+
+
+def reference_hole_particle(basis, part_a, part_b):
+    """``operators.hole_particle`` with per-state parity corrections."""
+    n = basis.n_sites
+    corrected = part_a if n % 2 == 0 else part_b
+    w = sp.identity(basis.dim, format="csr")
+    for x in range(n):
+        orb = 2 * x + 1
+        w = w @ reference_assemble(basis, basis, [(1.0, ((False, orb),)),
+                                                  (1.0, ((True, orb),))]).matrix
+    for z in corrected:
+        vals = np.array([1.0 - 2.0 * ((s.dn >> z) & 1) for s in basis.states])
+        w = sp.diags(vals, format="csr") @ w
+    if n % 2:
+        vals = np.array([1.0 - 2.0 * (s.up.bit_count() & 1) for s in basis.states])
+        w = sp.diags(vals, format="csr") @ w
+    return w.tocsr()

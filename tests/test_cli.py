@@ -119,3 +119,53 @@ def test_parse_lattice_and_couplings():
     assert spec.u[0, 0] == 4.0 and spec.t[0, 1] == 1.0
     spec = build_spec({"model": "heisenberg", "lattice": "star:2", "j": "mlm"})
     assert spec.j.sum() == 6.0
+
+
+@pytest.mark.parametrize("command", ["build", "diagonalize"])
+@pytest.mark.parametrize("m, message", [("0.3", "not a multiple of 1/2"),
+                                        ("0", "empty sector"),
+                                        ("abc", "could not convert")])
+def test_bad_sector_m_exits_parse(capsys, command, m, message):
+    code = run([command, "--model", "heisenberg", "--lattice", "path:3", "--m", m])
+    assert code == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--U", "--t", "--J-kondo", "--omega", "--g",
+                                  "--n-max"])
+def test_unread_coupling_flags_are_rejected(capsys, flag):
+    assert run(["verify", "--model", "heisenberg", "--lattice", "path:4",
+                flag, "3"]) == EXIT_PARSE
+    assert "heisenberg does not read" in capsys.readouterr().err
+
+
+def test_coupling_keys_read_by_some_model_are_accepted(tmp_path, capsys):
+    # --n-max only on phonon models, --U also on the optional-U models
+    assert run(["verify", "--model", "hubbard", "--lattice", "chain:1",
+                "--n-max", "3"]) == EXIT_PARSE
+    assert run(["build", "--model", "holstein_hubbard", "--lattice", "chain:1",
+                "--n-max", "2"]) == EXIT_PASS
+    assert run(["build", "--model", "kondo", "--lattice", "chain:1",
+                "--U", "2"]) == EXIT_PASS
+    # a pair reads what either side reads; a nesting pair reads no couplings
+    assert run(["pair", "--pair", "hubbard-mlm", "--lattice", "star:2",
+                "--U", "3"]) == EXIT_PASS
+    assert run(["pair", "--pair", "hubbard-mlm", "--lattice", "star:2",
+                "--omega", "3"]) == EXIT_PARSE
+    assert run(["pair", "--pair", "nesting-mlm", "--lattice-small", "chain:1",
+                "--lattice", "chain:2", "--t", "1"]) == EXIT_PARSE
+    assert run(["scan", "--family", "star", "--model", "heisenberg",
+                "--n-min", "2", "--n-max-scan", "2", "--U", "4"]) == EXIT_PARSE
+    # a config file's keys must be read by the model it names
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = heisenberg\nlattice = chain:2\nu = 4\n")
+    assert run(["verify", "--config", str(cfg)]) == EXIT_PARSE
+    assert "heisenberg does not read u" in capsys.readouterr().err
+
+
+def test_oversized_lattice_exits_parse(capsys):
+    # 17 sites of two species need 68 bits: refused before any enumeration
+    assert run(["build", "--model", "kondo", "--lattice", "path:17"]) == EXIT_PARSE
+    assert "68 bits" in capsys.readouterr().err
+    assert run(["verify", "--model", "heisenberg", "--lattice", "path:33"]) == EXIT_PARSE
+    assert "66 bits" in capsys.readouterr().err

@@ -180,3 +180,22 @@ def test_kondo_table_restricts_to_doubled_mlm():
             if u == v:   # singly occupied doubled sites
                 _, expected = cons_vector(n, part2, u, u, species_count=2)
                 assert sign == expected
+
+
+def test_enumeration_refuses_states_wider_than_a_word():
+    with pytest.raises(ValueError, match="68 bits"):
+        enumerate_sector(path_graph(17), SubspaceKind.kondo())
+    with pytest.raises(ValueError, match="66 bits"):
+        enumerate_sector(path_graph(33), SubspaceKind.single_occupancy(), m=16.5)
+    # 32 sites of one species fill the word; a small sector stays small
+    kind = SubspaceKind.single_occupancy()
+    assert enumerate_sector(path_graph(32), kind, m=16).dim == 1
+    top = enumerate_sector(path_graph(32), kind, m=15)
+    assert top.dim == 32 and top.index_of(top.states[-1]) == 31
+
+
+def test_non_half_integer_m_is_refused():
+    kind = SubspaceKind.single_occupancy()
+    with pytest.raises(ValueError, match="not a multiple of 1/2"):
+        enumerate_sector(path_graph(3), kind, m=0.3)
+    assert enumerate_sector(path_graph(3), kind, m=0.5).twice_m == 1

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from edspin.fock import (BasisState, SubspaceKind, enumerate_sector,
                          sector_twice_m_values)
+from edspin.hamiltonians import ModelSpec, build
 from edspin.lattice import bipartition, grid_graph, path_graph, star_graph
 from edspin.operators import (SparseOperator, annihilation_matrix, coulomb,
                               creation_matrix, electron_basis, embed_isometry,
@@ -275,3 +276,100 @@ def test_hermitian_flag_verified():
     bad = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="hermitian"):
         SparseOperator(bad, basis, basis, hermitian=True)
+
+
+def _edge_couplings(g, rng):
+    """Symmetric couplings with random values on the edges; their sums round,
+    so a changed order of summation shows in the bits."""
+    m = np.zeros((g.vertex_count, g.vertex_count))
+    for u, v in g.edges:
+        m[u, v] = m[v, u] = rng.uniform(0.2, 1.7)
+    return m
+
+
+def _assembly_cases():
+    """(id, spec, m): every model on a small sector of each basis kind;
+    spec None takes the whole one-species Fock space over path:3."""
+    rng = np.random.default_rng(11)
+    p2, p3, p4, g22 = path_graph(2), path_graph(3), path_graph(4), grid_graph(2, 2)
+
+    def couplings(g, **extra):
+        return dict(t=_edge_couplings(g, rng),
+                    u=np.diag(rng.uniform(1.0, 5.0, g.vertex_count)), **extra)
+
+    def phonons(g, n_max):
+        return dict(g_ep=np.diag(rng.uniform(0.1, 0.6, g.vertex_count)),
+                    omega=1.3, n_max=n_max)
+
+    yield "mlm-single_occupancy", ModelSpec("mlm", star_graph(3)), 1
+    yield "heisenberg-single_occupancy", ModelSpec(
+        "heisenberg", p4, j=_edge_couplings(p4, rng)), 0
+    # rows longer than 16 entries: the sparse format's index sort is not
+    # stable there, so only the order of the input sets the summation order
+    star = star_graph(17)
+    yield "heisenberg-long_rows", ModelSpec(
+        "heisenberg", star, j=_edge_couplings(star, rng)), 7
+    yield "heisenberg-whole_space", ModelSpec(
+        "heisenberg", p4, j=_edge_couplings(p4, rng)), None
+    yield "hubbard-full", ModelSpec("hubbard", p3, **couplings(p3)), 0.5
+    yield "hubbard-whole_space", ModelSpec("hubbard", p2, **couplings(p2)), None
+    yield "hubbard_nt-one_hole", ModelSpec("hubbard_nt", g22, **couplings(g22)), 0.5
+    yield "kondo", ModelSpec("kondo", p2, j_kondo=0.7, **couplings(p2)), 0
+    yield "holstein_hubbard-phonon", ModelSpec(
+        "holstein_hubbard", p2, **couplings(p2), **phonons(p2, 2)), 0
+    yield "holstein_nt-phonon", ModelSpec(
+        "holstein_nt", g22, **couplings(g22), **phonons(g22, 1)), 1.5
+    yield "kondo_holstein-phonon", ModelSpec(
+        "kondo_holstein", p2, j_kondo=-0.8, **couplings(p2), **phonons(p2, 1)), 1
+    yield "full_fock_basis", None, None
+
+
+def _assert_same_csr(new, ref, what):
+    assert new.shape == ref.shape, what
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(new, part), getattr(ref, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (what, part)
+
+
+@pytest.mark.parametrize("case", list(_assembly_cases()), ids=lambda c: c[0])
+def test_whole_basis_assembly_matches_per_state_reference(case, monkeypatch):
+    import oracles
+    from edspin import operators
+
+    _, spec, m = case
+    basis = full_fock_basis(path_graph(3)) if spec is None else spec.basis(m)
+    neighbours = []
+    if basis.twice_m is not None:
+        kind = basis.subspace
+        neighbours = [enumerate_sector(basis.graph, kind, m=t / 2)
+                      for t in (basis.twice_m - 2, basis.twice_m + 2)
+                      if t in sector_twice_m_values(basis.graph, kind)]
+
+    def composed():
+        out = {"S2": total_spin_squared(basis).matrix}
+        if spec is not None:
+            out["H"] = build(spec, m).matrix
+        for other in neighbours:
+            out[f"ladder to M={other.twice_m}/2"] = ladder_ops(basis, other).matrix
+        return out
+
+    new = composed()
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "assemble", oracles.reference_assemble)
+        patch.setattr(operators, "number_values", oracles.reference_number_values)
+        patch.setattr(operators, "magnetization_values",
+                      oracles.reference_magnetization_values)
+        ref = composed()
+    for name in new:
+        _assert_same_csr(new[name], ref[name], name)
+    for x in range(basis.n_sites):
+        for species in range(basis.species_count):
+            for i in (1, 2, 3):
+                _assert_same_csr(spin_op(basis, x, i, species).matrix,
+                                 oracles.reference_spin_op(basis, x, i, species),
+                                 f"S{i} at ({x}, {species})")
+    if spec is None:
+        bp = bipartition(basis.graph)
+        _assert_same_csr(hole_particle(basis).matrix,
+                         oracles.reference_hole_particle(basis, bp.part_a, bp.part_b),
+                         "hole_particle")
