@@ -17,7 +17,7 @@ from .operators import (SparseOperator, spin_op, spin_dot, total_spin_squared,
                         annihilation_matrix, creation_matrix)
 from .hamiltonians import (ModelSpec, ValidationReport, build, coupling_matrix,
                            kondo_graphs, u_effective, validate)
-from .spectra import (GroundSpace, SolverError, MixedMultipletError,
+from .spectra import (GroundSpace, SolverError, SolverStats, MixedMultipletError,
                       dense_eigensolve, lanczos_ground, ground_space,
                       total_spin_of)
 from .cones import (DiagonalCone, PSDMatrixCone, mlm_cone, nt_cone,

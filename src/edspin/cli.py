@@ -7,6 +7,7 @@ report is reproducible apart from the timing fields.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,13 +26,6 @@ EXIT_THEOREM = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
-
-_CONFIG_KEYS = {
-    "command", "model", "lattice", "lattice_file", "t", "u", "j", "j_kondo",
-    "g", "omega", "n_max", "m", "seed", "out", "coo", "perm", "family",
-    "n_min", "n_max_scan", "pair", "lattice_small", "emit",
-}
-
 
 class CliError(ValueError):
     """Configuration or argument problem; maps to exit code 2."""
@@ -250,7 +244,8 @@ def _cmd_diagonalize(cfg: dict) -> int:
     gs = ground_space(h.matrix, seed=int(cfg.get("seed", 0) or 0))
     report = {"model": {"model": spec.model, "vertices": spec.graph.vertex_count},
               "sectors": [{"M": m, "dim": h.domain.dim, "E0": gs.energy,
-                           "multiplicity": gs.multiplicity, "gap": gs.gap}],
+                           "multiplicity": gs.multiplicity, "gap": gs.gap,
+                           "solver": dataclasses.asdict(gs.solver)}],
               "verdict": "pass"}
     _write_report(report, cfg.get("out"))
     return EXIT_PASS
@@ -342,15 +337,23 @@ def _cmd_invariance(cfg: dict) -> int:
     return EXIT_PASS if report.ok else EXIT_THEOREM
 
 
+_LATTICE_KEYS = ("lattice", "lattice_file")
+_SPEC_KEYS = ("model",) + _LATTICE_KEYS + _COUPLING_KEYS
+
+# command: (handler, the keys it reads).  Any other key exits 2.
 _COMMANDS = {
-    "lattice": _cmd_lattice,
-    "build": _cmd_build,
-    "diagonalize": _cmd_diagonalize,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-    "pair": _cmd_pair,
-    "invariance": _cmd_invariance,
+    "lattice": (_cmd_lattice, _LATTICE_KEYS + ("emit",)),
+    "build": (_cmd_build, _SPEC_KEYS + ("m", "coo")),
+    "diagonalize": (_cmd_diagonalize, _SPEC_KEYS + ("m", "seed", "out")),
+    "verify": (_cmd_verify, _SPEC_KEYS + ("seed", "out")),
+    "scan": (_cmd_scan, ("model",) + _COUPLING_KEYS
+             + ("family", "n_min", "n_max_scan", "seed", "out")),
+    "pair": (_cmd_pair, _LATTICE_KEYS + _COUPLING_KEYS
+             + ("pair", "lattice_small", "seed", "out")),
+    "invariance": (_cmd_invariance, _SPEC_KEYS + ("perm", "seed", "out")),
 }
+
+_CONFIG_KEYS = {"command"}.union(*(keys for _, keys in _COMMANDS.values()))
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -401,7 +404,11 @@ def run(argv=None) -> int:
         command = cfg.get("command")
         if command not in _COMMANDS:
             raise CliError(f"unknown command {command!r}")
-        return _COMMANDS[command](cfg)
+        handler, reads = _COMMANDS[command]
+        unread = sorted(set(cfg) - {"command"} - set(reads))
+        if unread:
+            raise CliError(f"{command} does not read {', '.join(unread)}")
+        return handler(cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -100,7 +100,9 @@ def assemble(codomain: SectorBasis, domain: SectorBasis,
                         shape=(codomain.electron_dim, domain.electron_dim), dtype=dtype)
     mat.sum_duplicates()
     if domain.subspace.n_max is not None:   # electron-major: phonons minor
-        mat = sp.kron(mat, sp.identity(domain.phonon_dim, format="csr"), format="csr")
+        # kron of an empty factor is float64 whatever the factors' dtype
+        mat = sp.kron(mat, sp.identity(domain.phonon_dim, format="csr"),
+                      format="csr").astype(dtype, copy=False)
     return SparseOperator(mat, domain, codomain, hermitian)
 
 

@@ -5,6 +5,14 @@ above it, a Lanczos iteration with full reorthogonalization and repeated
 deflation extracts the lowest eigenpairs.  The routing threshold and the
 tolerances are module constants.  Both routes are deterministic: the Lanczos
 start vectors come from a seeded generator.
+
+The Krylov basis and the deflated vectors are stored one vector per row, so
+that projecting a new Lanczos vector off them streams contiguous memory and
+only the rows written so far become resident.  Reorthogonalization follows
+the rule of Daniel, Gragg, Kaufman and Stewart: one Gram-Schmidt pass, and a
+second only when the first cut the vector's norm below 1/sqrt(2) of its
+value before.  Each ``GroundSpace`` records its route and, on the Lanczos
+route, the steps and restarts it took.
 """
 
 from dataclasses import dataclass
@@ -48,11 +56,15 @@ def dense_eigensolve(h, threshold: int = DENSE_THRESHOLD):
 
 
 def lanczos_ground(h, k: int = 1, seed: int = DEFAULT_SEED, tol: float = LANCZOS_TOL,
-                   max_iter: int = 400, max_restarts: int = 60):
+                   max_iter: int = 400, max_restarts: int = 60,
+                   counts: dict | None = None):
     """Lowest ``k`` eigenpairs by Lanczos with full reorthogonalization.
 
     Multiplicities are resolved by deflation: each converged vector is
     projected out of all later Krylov spaces.  Deterministic for a fixed seed.
+    When ``counts`` is given, its integer ``"steps"`` (Lanczos steps, one
+    matvec each) and ``"restarts"`` entries are increased by this call's
+    totals.
     """
     mat = _as_matrix(h)
     n = mat.shape[0]
@@ -61,61 +73,75 @@ def lanczos_ground(h, k: int = 1, seed: int = DEFAULT_SEED, tol: float = LANCZOS
     k = min(k, n)
     rng = np.random.default_rng(seed)
     found_vals: list[float] = []
-    found: np.ndarray | None = None
+    found = np.empty((0, n))            # converged vectors, one per row
     for _ in range(k):
         v0 = rng.standard_normal(n)
-        if found is not None:
-            v0 -= found @ (found.T @ v0)
-        nrm = np.linalg.norm(v0)
+        nrm = _orthogonalize(v0, found)
         if nrm < 1e-12:
             raise SolverError("deflated start vector vanished")
-        theta, vec, res = _lanczos_one(mat, v0 / nrm, found, tol, max_iter,
-                                       max_restarts, rng)
+        theta, vec, steps, restarts = _lanczos_one(mat, v0 / nrm, found, tol, max_iter,
+                                                   max_restarts, rng)
+        if counts is not None:
+            counts["steps"] += steps
+            counts["restarts"] += restarts
         found_vals.append(theta)
-        found = vec[:, None] if found is None else np.column_stack([found, vec])
+        found = np.vstack([found, vec])
     order = np.argsort(found_vals)
-    return np.array(found_vals)[order], found[:, order]
+    return np.array(found_vals)[order], found[order].T
+
+
+def _orthogonalize(w: np.ndarray, *blocks: np.ndarray) -> float:
+    """Project ``w`` in place off the rows of each orthonormal block; return
+    its norm afterwards.
+
+    One classical Gram-Schmidt pass, repeated once only when it cut the norm
+    below 1/sqrt(2) of its value before the pass: a smaller drop leaves ``w``
+    orthogonal to working precision (Daniel, Gragg, Kaufman and Stewart,
+    Math. Comp. 30, 772 (1976)), as in ARPACK.
+    """
+    before = np.linalg.norm(w)
+    for _ in range(2):
+        for rows in blocks:
+            if len(rows):
+                w -= (rows @ w) @ rows
+        nrm = np.linalg.norm(w)
+        if nrm > before / np.sqrt(2):
+            break
+        before = nrm
+    return nrm
 
 
 def _lanczos_one(mat, v0, deflate, tol, max_iter, max_restarts, rng):
-    """One deflated Lanczos sweep with restarts; returns (theta, vector, residual)."""
+    """One deflated Lanczos sweep with restarts; returns (theta, vector,
+    steps, restarts).  ``deflate`` and the Krylov basis hold one vector per
+    row."""
     n = mat.shape[0]
-    n_defl = 0 if deflate is None else deflate.shape[1]
-    limit = max(1, min(max_iter, n - n_defl))
+    limit = max(1, min(max_iter, n - len(deflate)))
     check_every = 10
     v = v0
-    theta, res = np.inf, np.inf
-    for _ in range(max_restarts):
-        q = np.empty((n, limit))
+    res = np.inf
+    steps = 0
+    for restart in range(max_restarts):
+        q = np.empty((limit, n))
         alphas = np.empty(limit)
         betas = np.empty(limit)
         w = v.copy()
         j = 0
         while j < limit:
-            if deflate is not None:
-                w -= deflate @ (deflate.T @ w)
-            if j:
-                qj = q[:, :j]
-                w -= qj @ (qj.T @ w)   # full reorthogonalization, twice
-                w -= qj @ (qj.T @ w)
-            nrm = np.linalg.norm(w)
+            nrm = _orthogonalize(w, deflate, q[:j])
             if nrm < 1e-12:
                 # invariant subspace: inject a deterministic fresh direction
                 w = rng.standard_normal(n)
-                if deflate is not None:
-                    w -= deflate @ (deflate.T @ w)
-                if j:
-                    w -= q[:, :j] @ (q[:, :j].T @ w)
-                nrm = np.linalg.norm(w)
+                nrm = _orthogonalize(w, deflate, q[:j])
                 if nrm < 1e-12:
                     break
             w /= nrm
-            q[:, j] = w
+            q[j] = w
             hw = mat @ w
             alphas[j] = w @ hw
             w = hw - alphas[j] * w
             if j:
-                w -= betas[j - 1] * q[:, j - 1]
+                w -= betas[j - 1] * q[j - 1]
             betas[j] = np.linalg.norm(w)
             j += 1
             if j % check_every == 0 or j == limit or betas[j - 1] < 1e-12:
@@ -127,13 +153,14 @@ def _lanczos_one(mat, v0, deflate, tol, max_iter, max_restarts, rng):
                     break
         if j == 0:
             raise SolverError("Lanczos basis collapsed")
+        steps += j
         tvals, tvecs = _tridiag_eigh(alphas[:j], betas[:j - 1])
         theta = float(tvals[0])
-        ritz = q[:, :j] @ tvecs[:, 0]
+        ritz = tvecs[:, 0] @ q[:j]
         ritz /= np.linalg.norm(ritz)
         res = float(np.linalg.norm(mat @ ritz - theta * ritz))
         if res <= tol * max(1.0, abs(theta)):
-            return theta, ritz, res
+            return theta, ritz, steps, restart
         v = ritz
     raise SolverError(
         f"Lanczos failed to converge after {max_restarts} restarts", res)
@@ -147,6 +174,16 @@ def _tridiag_eigh(alphas: np.ndarray, betas: np.ndarray):
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """Which route solved a sector and, on the Lanczos route, the steps
+    (one matvec each) and restarts summed over every deflation sweep."""
+
+    route: str                     # "dense" or "lanczos"
+    steps: int = 0
+    restarts: int = 0
+
+
+@dataclass(frozen=True)
 class GroundSpace:
     """Orthonormal span of the eigenvalue cluster at the bottom of the spectrum."""
 
@@ -155,6 +192,7 @@ class GroundSpace:
     vectors: np.ndarray            # shape (dim, multiplicity)
     residuals: tuple[float, ...]
     gap: float                     # distance to the first excluded level
+    solver: SolverStats
 
 
 def ground_space(h, seed: int = DEFAULT_SEED) -> GroundSpace:
@@ -162,15 +200,18 @@ def ground_space(h, seed: int = DEFAULT_SEED) -> GroundSpace:
     mat = _as_matrix(h)
     n = mat.shape[0]
     if n <= DENSE_PREFERENCE:
+        solver = SolverStats("dense")
         vals, vecs = dense_eigensolve(mat)
     else:
+        counts = {"steps": 0, "restarts": 0}
         k = min(n, 2)
         while True:
-            vals, vecs = lanczos_ground(mat, k=k, seed=seed)
+            vals, vecs = lanczos_ground(mat, k=k, seed=seed, counts=counts)
             cut = vals[0] + DEGENERACY_TOL * max(1.0, abs(vals[0]))
             if vals[-1] > cut or k >= min(n, MAX_MULTIPLICITY):
                 break
             k = min(n, MAX_MULTIPLICITY, 2 * k)
+        solver = SolverStats("lanczos", **counts)
     e0 = float(vals[0])
     cut = e0 + DEGENERACY_TOL * max(1.0, abs(e0))
     mult = int(np.sum(vals <= cut))
@@ -180,7 +221,7 @@ def ground_space(h, seed: int = DEFAULT_SEED) -> GroundSpace:
     residuals = tuple(float(np.linalg.norm(mat @ q[:, i] - e0 * q[:, i]))
                       for i in range(mult))
     gap = float(vals[mult] - e0) if mult < len(vals) else np.inf
-    return GroundSpace(e0, mult, q, residuals, gap)
+    return GroundSpace(e0, mult, q, residuals, gap, solver)
 
 
 class MixedMultipletError(ValueError):

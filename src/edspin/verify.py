@@ -19,7 +19,7 @@ from .fock import SectorBasis, SubspaceKind, enumerate_sector, sector_dimension
 from .hamiltonians import (ModelSpec, ValidationReport, build, kondo_graphs,
                            validate)
 from .lattice import Graph, LatticeFamily, relabel, sublattice_imbalance
-from .spectra import DEGENERACY_TOL, ground_space, total_spin_of
+from .spectra import DEGENERACY_TOL, SolverStats, ground_space, total_spin_of
 
 ENERGY_EQUALITY_RTOL = 1e-8
 LADDER_CLOSURE_RTOL = 1e-7
@@ -46,11 +46,13 @@ class SectorReport:
     ergodicity: cn.ErgodicityVerdict | None
     strict_margin: float | None
     twice_s: int | None
+    solver: SolverStats
     note: str | None = None
 
     def to_dict(self) -> dict:
         d = {"M": self.twice_m / 2, "dim": self.dim, "E0": self.e0,
-             "multiplicity": self.multiplicity, "gap": self.gap}
+             "multiplicity": self.multiplicity, "gap": self.gap,
+             "solver": dataclasses.asdict(self.solver)}
         if self.ergodicity is not None:
             d["ergodicity"] = self.ergodicity.to_dict()
         if self.strict_margin is not None:
@@ -231,7 +233,8 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
                     failures.append(f"sector M={tm}/2: ground vector not strictly "
                                     f"positive (margin {strict_margin:.3e})")
         sector_reports.append(SectorReport(tm, basis.dim, gs.energy, gs.multiplicity,
-                                           gs.gap, erg, strict_margin, twice_s, note))
+                                           gs.gap, erg, strict_margin, twice_s,
+                                           gs.solver, note))
     if len(twice_s_seen) > 1:
         failures.append(f"ground sectors disagree on total spin: {sorted(twice_s_seen)}")
     twice_s = twice_s_seen.pop() if len(twice_s_seen) == 1 else None

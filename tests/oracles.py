@@ -191,7 +191,7 @@ def reference_assemble(codomain, domain, terms, hermitian=False, dtype=float):
         inner = reference_assemble(electron_basis(codomain), electron_basis(domain),
                                    terms, dtype=dtype)
         mat = sp.kron(inner.matrix, sp.identity(domain.phonon_dim, format="csr"),
-                      format="csr")
+                      format="csr").astype(dtype, copy=False)
         return SparseOperator(mat, domain, codomain, hermitian)
     n, spc = domain.n_sites, domain.species_count
     index = {s.sort_key(): i for i, s in enumerate(codomain.states)}

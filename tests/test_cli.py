@@ -16,6 +16,8 @@ def test_verify_mlm_star_exit_zero(tmp_path):
     report = json.loads(out.read_text())
     assert report["global"]["S_computed"] == 1.0
     assert report["verdict"] == "pass"
+    assert report["sectors"][0]["solver"] == {"route": "dense", "steps": 0,
+                                              "restarts": 0}
 
 
 def test_verify_nt_path_exits_validation(capsys):
@@ -169,3 +171,30 @@ def test_oversized_lattice_exits_parse(capsys):
     assert "68 bits" in capsys.readouterr().err
     assert run(["verify", "--model", "heisenberg", "--lattice", "path:33"]) == EXIT_PARSE
     assert "66 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    pytest.param(["verify", "--model", "mlm", "--lattice", "star:2", "--m", "7"],
+                 "m", id="verify-m"),
+    pytest.param(["lattice", "--lattice", "star:2", "--model", "heisenberg",
+                  "--J", "nn=2"], "j, model", id="lattice-model"),
+    pytest.param(["build", "--model", "mlm", "--lattice", "star:2", "--seed", "3"],
+                 "seed", id="build-seed"),
+    pytest.param(["build", "--model", "mlm", "--lattice", "star:2", "--perm", "1,2"],
+                 "perm", id="build-perm"),
+    pytest.param(["scan", "--family", "star", "--model", "heisenberg",
+                  "--lattice", "star:2"], "lattice", id="scan-lattice"),
+    pytest.param(["pair", "--pair", "hubbard-mlm", "--lattice", "star:2",
+                  "--model", "mlm"], "model", id="pair-model"),
+])
+def test_keys_a_command_does_not_read_exit_parse(capsys, argv, unread):
+    assert run(argv) == EXIT_PARSE
+    assert f"{argv[0]} does not read {unread}" in capsys.readouterr().err
+
+
+def test_config_file_keys_a_command_does_not_read_exit_parse(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = mlm\nlattice = star:2\nm = 0\n")
+    assert run(["diagonalize", "--config", str(cfg)]) == EXIT_PASS
+    assert run(["verify", "--config", str(cfg)]) == EXIT_PARSE
+    assert "verify does not read m" in capsys.readouterr().err

@@ -365,8 +365,10 @@ def test_whole_basis_assembly_matches_per_state_reference(case, monkeypatch):
     for x in range(basis.n_sites):
         for species in range(basis.species_count):
             for i in (1, 2, 3):
-                _assert_same_csr(spin_op(basis, x, i, species).matrix,
-                                 oracles.reference_spin_op(basis, x, i, species),
+                op = spin_op(basis, x, i, species).matrix
+                # the second component is complex, on phonon products too
+                assert op.dtype == (np.complex128 if i == 2 else np.float64)
+                _assert_same_csr(op, oracles.reference_spin_op(basis, x, i, species),
                                  f"S{i} at ({x}, {species})")
     if spec is None:
         bp = bipartition(basis.graph)

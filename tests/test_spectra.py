@@ -6,6 +6,7 @@ from edspin.fock import SubspaceKind, enumerate_sector
 from edspin.hamiltonians import ModelSpec, build, coupling_matrix
 from edspin.lattice import grid_graph, path_graph, star_graph
 from edspin.operators import heisenberg_bond, ladder_ops, total_spin_squared
+from edspin import spectra
 from edspin.spectra import (MixedMultipletError, SolverError, dense_eigensolve,
                             ground_space, lanczos_ground, total_spin_of)
 
@@ -68,6 +69,109 @@ def test_lanczos_nonconvergence_reports_residual():
     with pytest.raises(SolverError) as err:
         lanczos_ground(h, k=1, seed=1, max_iter=3, max_restarts=1)
     assert err.value.residual is not None and err.value.residual > 0
+
+
+def _spy_orthogonalize(monkeypatch):
+    """Record each ``_orthogonalize`` call's blocks and returned norm."""
+    calls = []
+
+    def spy(w, *blocks):
+        nrm = orthogonalize(w, *blocks)
+        calls.append((blocks, nrm))
+        return nrm
+
+    orthogonalize = spectra._orthogonalize
+    monkeypatch.setattr(spectra, "_orthogonalize", spy)
+    return calls
+
+
+def test_krylov_basis_stays_orthonormal_on_clustered_spectrum(monkeypatch):
+    # a tight cluster at the bottom makes Lanczos run long, where a basis
+    # without reorthogonalization loses orthogonality
+    rng = np.random.default_rng(4)
+    n = 300
+    vals = np.concatenate([1e-4 * rng.random(6), 1.0 + rng.random(n - 6)])
+    rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    h = sp.csr_matrix(rot @ np.diag(vals) @ rot.T)
+    calls = _spy_orthogonalize(monkeypatch)
+    lvals, _ = lanczos_ground(h, k=3, seed=8)
+    assert np.allclose(lvals, np.sort(vals)[:3], atol=1e-9)
+    checked = 0
+    for blocks, _ in calls:
+        if len(blocks) == 2 and len(blocks[1]) >= 40:
+            rows = np.vstack(blocks)
+            assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
+            checked += 1
+    assert checked
+
+
+def test_orthogonalize_second_pass_after_a_large_norm_drop():
+    # w lies within 1e-8 of the span: one classical Gram-Schmidt pass leaves
+    # components of relative size ~1e-8 along the rows, the second removes them
+    rng = np.random.default_rng(2)
+    rows, _ = np.linalg.qr(rng.standard_normal((500, 20)))
+    rows = rows.T.copy()
+    w = rng.standard_normal(20) @ rows + 1e-8 * rng.standard_normal(500)
+    nrm = spectra._orthogonalize(w, rows)
+    assert nrm == np.linalg.norm(w) and 1e-9 < nrm < 1e-6
+    assert np.abs(rows @ w).max() < 1e-14 * nrm
+    # a small drop keeps the first pass alone: w is then already orthogonal
+    w = rng.standard_normal(500)
+    nrm = spectra._orthogonalize(w, rows)
+    assert np.abs(rows @ w).max() < 1e-14 * nrm
+
+
+def test_lanczos_injects_a_fresh_direction_in_an_invariant_subspace(monkeypatch):
+    # 13 distinct values, -5 twice: the first sweep converges before its
+    # Krylov space is exhausted; the second, deflated, exhausts it while its
+    # residual still points along the first vector, so the projected
+    # direction vanishes and a fresh one is injected
+    d = sp.diags(np.resize(np.concatenate([[-5.0], np.arange(12.0)]), 24))
+    calls = _spy_orthogonalize(monkeypatch)
+    vals, vecs = lanczos_ground(d, k=3, seed=1)
+    assert any(nrm < 1e-12 for _, nrm in calls)
+    assert np.allclose(vals, [-5.0, -5.0, 0.0], atol=1e-9)
+    assert np.abs(vecs.T @ vecs - np.eye(3)).max() < 1e-12
+    assert np.linalg.norm(d @ vecs - vecs * vals, axis=0).max() < 1e-8
+
+
+def test_ground_space_records_its_solver():
+    basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
+    assert ground_space(heisenberg_bond(basis, 0, 1)).solver == spectra.SolverStats("dense")
+    d = sp.diags(np.arange(spectra.DENSE_PREFERENCE + 1.0))
+    solver = ground_space(d).solver
+    assert solver.route == "lanczos" and solver.steps > 0 and solver.restarts == 0
+
+
+def test_ground_space_on_a_diagonal_phonon_sector():
+    """The all-down sector of Holstein-Hubbard on path:4 (M=-2, dim 2401):
+    no electron can move, so H is the diagonal phonon energy and the phonon
+    vacuum is the unique ground state, E0 = 0, gap omega = 1.  The Krylov
+    route takes it (dim > DENSE_PREFERENCE).  scipy 1.17.1's
+    ``eigsh(h, k=2, which="SA")`` returns [1, 1] here, with no error: a
+    Krylov solver can miss a level its start vector barely touches."""
+    p4 = path_graph(4)
+    spec = ModelSpec("holstein_hubbard", p4, t=coupling_matrix(p4, 1.0, "nn"),
+                     u=4.0 * np.eye(4), g_ep=0.5 * np.eye(4), omega=1.0, n_max=6)
+    h = build(spec, -2)
+    assert h.domain.dim == 2401
+    gs = ground_space(h)
+    assert gs.solver.route == "lanczos"
+    assert abs(gs.energy) < 1e-12 and gs.multiplicity == 1
+    assert abs(gs.gap - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("twice_m", [-4, -2, 0, 2, 4])
+def test_krylov_sectors_agree_with_dense(twice_m):
+    p14 = path_graph(14)
+    h = build(ModelSpec("heisenberg", p14, j=coupling_matrix(p14, 1.0, "nn")),
+              twice_m / 2)
+    assert h.domain.dim > spectra.DENSE_PREFERENCE
+    gs = ground_space(h)
+    dense = np.linalg.eigvalsh(h.matrix.toarray())
+    assert gs.solver.route == "lanczos" and gs.multiplicity == 1
+    assert abs(gs.energy - dense[0]) <= 1e-12 * abs(dense[0])
+    assert abs(gs.gap - (dense[1] - dense[0])) <= 1e-9
 
 
 def test_ground_space_examples():
