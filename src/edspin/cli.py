@@ -186,13 +186,15 @@ def _human_table(report: dict) -> str:
     lines.append(f"model: {model.get('model')}  vertices: {model.get('vertices')}")
     if "sectors" in report:
         lines.append(f"{'M':>6} {'dim':>7} {'E0':>16} {'mult':>5} "
-                     f"{'ergodicity':>20} {'margin':>11}")
+                     f"{'ergodicity':>20} {'margin':>11} {'bound':>9}")
         for s in report["sectors"]:
             erg = s.get("ergodicity", {}).get("verdict", "-")
             margin = s.get("strict_positivity_margin")
+            bound = s.get("strict_positivity_bound")
             lines.append(f"{s['M']:>6} {s['dim']:>7} {s['E0']:>16.10f} "
                          f"{s['multiplicity']:>5} {erg:>20} "
-                         f"{'-' if margin is None else format(margin, '.3e'):>11}")
+                         f"{'-' if margin is None else format(margin, '.3e'):>11} "
+                         f"{'-' if bound is None else format(bound, '.1e'):>9}")
     glb = report.get("global")
     if glb:
         lines.append(f"E0 = {glb['E0']:.12f}  degeneracy = {glb['degeneracy']}  "

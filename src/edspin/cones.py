@@ -16,6 +16,20 @@ ergodicity test reads both conditions off the stored entries of the sparse
 matrix S H S, S = diag(signs), and counts components with a sparse graph
 search; it never forms a dense copy.
 
+Strict positivity of a diagonal-cone sector ground vector is decided by a
+certified Perron-Frobenius margin, not by the vector's raw coefficients,
+whose tiny entries a Krylov solver only knows to its residual.  With
+B = S H S Metzler and irreducible, sigma = max diag(B) + max(1, |E0|) makes
+sigma I - B entrywise nonnegative and primitive, and the iteration
+x <- (sigma I - B) x / |.|, started from the solved vector with its negative
+entries clipped to zero, never subtracts: each entry keeps its relative
+accuracy (Faris, J. Math. Phys. 13, 1285 (1972)).  The refined vector is accepted only when it lies within
+2 max(residual) / gap (plus roundoff) of the solved vector, the Davis-Kahan
+bound on the solved vector's distance from the true ground vector (Davis &
+Kahan, SIAM J. Numer. Anal. 7, 1 (1970)); the margin is its least entry.
+Vectors that are no sector's eigenvector (projections, order units) and PSD
+cones keep the raw test against ``STRICT_TOL``.
+
 For PSD-matrix cones map positivity is only sampled: the sampled cone
 members are the columns of one block R, and every sampled overlap is an
 entry of the Gram matrix R^H A R.  For the semigroup, A R = e^{-beta H} R
@@ -47,6 +61,8 @@ STRICT_TOL = 1e-10
 SAMPLE_COUNT = 200
 SAMPLE_SEED = 7
 EDGE_TOL = 1e-12
+PERRON_RTOL = 1e-9       # refinement stops once min x moves less than this, relative
+PERRON_MAX_STEPS = 200   # step cap of the refinement
 
 
 def _operator_matrix(a):
@@ -87,12 +103,15 @@ class DiagonalCone:
         dense = mat.toarray() if sp.issparse(mat) else mat
         return self.signs[:, None] * dense * self.signs[None, :]
 
-    def conjugate_sparse(self, a) -> sp.coo_matrix:
-        """S a S with S = diag(signs), as canonical (row-major, summed) COO."""
-        coo = sp.coo_matrix(_operator_matrix(a))
-        coo.sum_duplicates()
-        data = self.signs[coo.row] * coo.data * self.signs[coo.col]
-        return sp.coo_matrix((data, (coo.row, coo.col)), shape=coo.shape)
+    def conjugate_sparse(self, a) -> sp.csr_matrix:
+        """S a S with S = diag(signs), as canonical (sorted, summed) CSR."""
+        mat = sp.csr_matrix(_operator_matrix(a))
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        data = self.signs[rows] * mat.data * self.signs[mat.indices]
+        return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 @dataclass(frozen=True)
@@ -208,10 +227,67 @@ def membership(psi: np.ndarray, cone: Cone, tol: float = STRICT_TOL
     return (herm_dev <= max(tol, 1e-8) and margin >= -tol), margin
 
 
-def strict_positivity(psi: np.ndarray, cone: Cone, tol: float = STRICT_TOL
-                      ) -> tuple[bool, float]:
-    ok, margin = membership(psi, cone, tol)
-    return (ok and margin > tol), margin
+@dataclass(frozen=True)
+class StrictnessVerdict:
+    ok: bool
+    margin: float                  # least coefficient or eigenvalue
+    steps: int                     # Perron-Frobenius refinement steps (0: raw test)
+    bound: float                   # accuracy bound the decision relied on
+
+
+def strict_positivity(psi: np.ndarray, cone: Cone, tol: float = STRICT_TOL, *,
+                      h=None, ground: GroundSpace | None = None,
+                      ergodic: "ErgodicityVerdict | None" = None
+                      ) -> StrictnessVerdict:
+    """Strict positivity of a cone vector.
+
+    Given the sector operator ``h`` and the solved ``ground`` space that the
+    gauge-fixed ``psi`` came from, a diagonal cone takes the certified
+    Perron-Frobenius rule (module docstring), whose bound is the agreement
+    bound; ``ergodic`` is the sector's ergodicity verdict when already made.
+    Anything else is a member whose least coefficient or eigenvalue exceeds
+    ``tol``, which is then the bound.
+    """
+    if isinstance(cone, DiagonalCone) and ground is not None:
+        return _perron_strictness(psi, cone, h, ground, ergodic, tol)
+    member, margin = membership(psi, cone, tol)
+    return StrictnessVerdict(member and margin > tol, margin, 0, tol)
+
+
+def _perron_strictness(psi: np.ndarray, cone: DiagonalCone, h, ground: GroundSpace,
+                       ergodic: "ErgodicityVerdict | None", tol: float
+                       ) -> StrictnessVerdict:
+    """The Perron-Frobenius refinement of the solved vector ``psi`` in the
+    distinguished basis."""
+    solved = cone.to_distinguished(psi)
+    bound = 2 * max(ground.residuals) / ground.gap if np.isfinite(ground.gap) else 0.0
+    if ergodic is None:
+        ergodic = ergodicity(h, cone, tol)
+    if not ergodic.ok:
+        return StrictnessVerdict(False, float(solved.real.min()), 0, bound)
+    b = cone.conjugate_sparse(h)
+    n = b.shape[0]
+    # the shift puts sigma strictly above max diag(B), so sigma I - B is
+    # primitive: its Perron root sigma - E0 strictly dominates every other
+    # eigenvalue in modulus.  The positive off-diagonals that the Metzler
+    # test accepts up to tol are clipped, so no step subtracts.
+    sigma = float(b.diagonal().real.max()) + max(1.0, abs(ground.energy))
+    m = sigma * sp.identity(n, format="csr") - b.real
+    m.data = np.maximum(m.data, 0.0)
+    x = np.maximum(solved.real, 0.0)
+    x /= np.linalg.norm(x)
+    low, steps = float(x.min()), 0
+    while n > 1 and steps < PERRON_MAX_STEPS:
+        x = m @ x
+        x /= np.linalg.norm(x)
+        steps += 1
+        low, before = float(x.min()), low
+        if low > 0 and abs(low - before) <= PERRON_RTOL * low:
+            break
+    # each step sums at most (row length) nonnegative terms
+    bound += (steps + 1) * max(1, int(np.diff(m.indptr).max())) * np.finfo(float).eps
+    return StrictnessVerdict(bool(low > 0 and np.linalg.norm(x - solved) <= bound),
+                             low, steps, bound)
 
 
 def gauge_fix(psi: np.ndarray, cone: Cone) -> np.ndarray:
@@ -314,14 +390,15 @@ class ErgodicityVerdict:
         return d
 
 
-def _structural_ergodicity(b: sp.coo_matrix, tol: float) -> ErgodicityVerdict:
+def _structural_ergodicity(b: sp.csr_matrix, tol: float) -> ErgodicityVerdict:
     """Metzler form and irreducibility of ``b`` = S H S, read off its stored
-    off-diagonal entries.
+    off-diagonal entries in row-major order.
 
     The margin is -max(0, largest off-diagonal entry): the unstored entries
     and the diagonal count as zeros, so a Metzler matrix has margin -0.0.
     """
     n = b.shape[0]
+    b = b.tocoo()
     off = b.row != b.col
     rows, cols, vals = b.row[off], b.col[off], b.data[off]
     top = max(0.0, float(vals.real.max())) if vals.size else 0.0
@@ -372,7 +449,8 @@ def ergodicity(h, cone: Cone, tol: float = STRICT_TOL,
         return ErgodicityVerdict("consequence-failed", multiplicity=gs.multiplicity,
                                  witness="sector ground state is degenerate")
     psi = gauge_fix(gs.vectors[:, 0], cone)
-    ok, margin = strict_positivity(psi, cone, tol)
+    strict = strict_positivity(psi, cone, tol)
+    ok, margin = strict.ok, strict.margin
     members = _sample_psd_members(cone, samples, seed)
     semi_tol = max(tol, 1e-8)
     semi_margin = np.inf
@@ -473,5 +551,5 @@ def nesting_consistency(cone_small: Cone, cone_big: Cone,
         worst = min(worst, margin)
         ok_bwd = ok_bwd and member
     projected_unit = proj @ cone_big.order_unit()
-    strict, margin = strict_positivity(projected_unit, cone_small, tol)
-    return NestingVerdict(ok_fwd, ok_bwd, strict, float(min(worst, margin)))
+    strict = strict_positivity(projected_unit, cone_small, tol)
+    return NestingVerdict(ok_fwd, ok_bwd, strict.ok, float(min(worst, strict.margin)))

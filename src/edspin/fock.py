@@ -475,21 +475,24 @@ def nt_basis_vector(g: Graph, sigma: tuple[int, ...]) -> tuple[BasisState, int]:
 # distinguished-sign tables for whole sector bases
 # ---------------------------------------------------------------------------
 
-def mlm_sign_table(basis: SectorBasis, part_b_mask: int | None = None) -> list[int]:
-    """Signs s_i with |X_i, Xbar_i> = s_i * canonical_i over a single-occupancy basis."""
-    g = basis.graph
-    n = g.vertex_count
+def mlm_sign_table(basis: SectorBasis, part_b_mask: int | None = None) -> np.ndarray:
+    """Signs s_i with |X_i, Xbar_i> = s_i * canonical_i over a single-occupancy basis.
+
+    ``cons_vector(n, B, X, X)`` builds the state with up set X and down set
+    the complement of X, with string sign +1, so s = (-1)^(|B| + |X cap B|).
+    Raises ``ValueError`` unless every state is that word: singly occupied
+    with the down set the complement of the up set.
+    """
     if part_b_mask is None:
-        bp = bipartition(g)
+        bp = bipartition(basis.graph)
         if bp is None:
             raise ValueError("graph is not bipartite")
         part_b_mask = bp.b_mask()
-    signs = []
-    for up, dn in zip(*(f.tolist() for f in basis.fields())):
-        occ, sign = cons_vector(n, part_b_mask, up, up)
-        assert occ == pack((up, dn), n)
-        signs.append(sign)
-    return signs
+    up, dn = basis.fields()
+    if np.any(dn != ((1 << basis.n_sites) - 1) ^ up):
+        raise ValueError("basis has states that are not singly occupied")
+    parity = part_b_mask.bit_count() + np.bitwise_count(up & np.uint64(part_b_mask))
+    return np.where(parity & 1, -1, 1)
 
 
 def nt_sign_table(basis: SectorBasis) -> np.ndarray:

@@ -1,10 +1,30 @@
 """Eigensolvers and spin-resolved ground-space extraction.
 
-Dense diagonalization handles every sector up to ``DENSE_PREFERENCE`` states;
-above it, a Lanczos iteration with full reorthogonalization and repeated
-deflation extracts the lowest eigenpairs.  The routing threshold and the
-tolerances are module constants.  Both routes are deterministic: the Lanczos
-start vectors come from a seeded generator.
+Dense diagonalization handles every sector up to ``DENSE_PREFERENCE`` = 400
+states; above it, a Lanczos iteration with full reorthogonalization and
+repeated deflation extracts the lowest eigenpairs.  The routing threshold and
+the tolerances are module constants.  Both routes are deterministic: the
+Lanczos start vectors come from a seeded generator.
+
+``ground_space`` per sector, best of five, dense / Lanczos in ms (one-hole
+sectors marked NT):
+
+    states   220   364   400   495   504 NT  630 NT  792   924   1001
+    dense    5.4  15.3    18  30.6    27.7      50    89   145    163
+    Lanczos  4.4   6.7    10   4.9    27.1      34   5.4   5.1    9.9
+
+Lanczos is already faster at 220 and 364 states.  The threshold stays at 400
+because ``perfbench/suite.py`` checks that the psd_cone workload, whose
+Hubbard sectors have at most 400 states, runs no Krylov solve, and because a
+Lanczos vector is accurate to its residual, not in each tiny component.
+Diagonal cones decide strictness without reading those components
+(``cones.strict_positivity``); PSD-cone and Kondo-projected vectors still
+read them against ``cones.STRICT_TOL``, and their sectors of 401-1200 states
+now do so on Krylov vectors.
+
+The Krylov route resolves ground clusters of up to ``MAX_MULTIPLICITY``
+vectors.  A larger cluster is solved densely when the sector is within
+``DENSE_THRESHOLD`` and raises ``SolverError`` above it.
 
 The Krylov basis and the deflated vectors are stored one vector per row, so
 that projecting a new Lanczos vector off them streams contiguous memory and
@@ -21,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 DENSE_THRESHOLD = 4096        # largest dimension any dense routine accepts
-DENSE_PREFERENCE = 1200       # ground_space solves up to this dimension densely
+DENSE_PREFERENCE = 400        # ground_space solves up to this dimension densely
 LANCZOS_TOL = 1e-8
 DEGENERACY_TOL = 1e-7
 MAX_MULTIPLICITY = 16         # largest ground cluster the Krylov route resolves
@@ -199,19 +219,24 @@ def ground_space(h, seed: int = DEFAULT_SEED) -> GroundSpace:
     """Ground energy, degeneracy and spanning vectors of a hermitian operator."""
     mat = _as_matrix(h)
     n = mat.shape[0]
-    if n <= DENSE_PREFERENCE:
-        solver = SolverStats("dense")
-        vals, vecs = dense_eigensolve(mat)
-    else:
+    solver = SolverStats("dense")
+    if n > DENSE_PREFERENCE:
         counts = {"steps": 0, "restarts": 0}
         k = min(n, 2)
         while True:
             vals, vecs = lanczos_ground(mat, k=k, seed=seed, counts=counts)
             cut = vals[0] + DEGENERACY_TOL * max(1.0, abs(vals[0]))
-            if vals[-1] > cut or k >= min(n, MAX_MULTIPLICITY):
+            if vals[-1] > cut or k == n:
+                solver = SolverStats("lanczos", **counts)
                 break
-            k = min(n, MAX_MULTIPLICITY, 2 * k)
-        solver = SolverStats("lanczos", **counts)
+            if k > MAX_MULTIPLICITY:
+                if n > DENSE_THRESHOLD:
+                    raise SolverError(f"ground cluster exceeds {MAX_MULTIPLICITY} "
+                                      f"vectors; its multiplicity is unresolved")
+                break       # too large a cluster for the Krylov route: solve densely
+            k = min(n, MAX_MULTIPLICITY + 1, 2 * k)
+    if solver.route == "dense":
+        vals, vecs = dense_eigensolve(mat)
     e0 = float(vals[0])
     cut = e0 + DEGENERACY_TOL * max(1.0, abs(e0))
     mult = int(np.sum(vals <= cut))

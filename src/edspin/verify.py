@@ -5,6 +5,14 @@ model class: predicted ground-state total spin, multiplet degeneracy,
 per-sector uniqueness and strict cone positivity, and per-sector semigroup
 ergodicity.  Everything is checked at finite volume with pinned tolerances;
 nothing is fitted or extrapolated.
+
+A ground sector's strict positivity in a diagonal cone is decided by the
+certified Perron-Frobenius margin of ``cones.strict_positivity``, from the
+sector operator and its solved ground space, so no fixed tolerance meets the
+tiny coefficients of large sectors; each sector report carries the margin,
+the refinement steps and the accuracy bound the decision relied on.  PSD
+cones and the Kondo projected vectors keep the raw test against
+``cones.STRICT_TOL``.
 """
 
 import dataclasses
@@ -44,10 +52,14 @@ class SectorReport:
     multiplicity: int
     gap: float
     ergodicity: cn.ErgodicityVerdict | None
-    strict_margin: float | None
+    strictness: cn.StrictnessVerdict | None
     twice_s: int | None
     solver: SolverStats
     note: str | None = None
+
+    @property
+    def strict_margin(self) -> float | None:
+        return None if self.strictness is None else self.strictness.margin
 
     def to_dict(self) -> dict:
         d = {"M": self.twice_m / 2, "dim": self.dim, "E0": self.e0,
@@ -55,8 +67,10 @@ class SectorReport:
              "solver": dataclasses.asdict(self.solver)}
         if self.ergodicity is not None:
             d["ergodicity"] = self.ergodicity.to_dict()
-        if self.strict_margin is not None:
-            d["strict_positivity_margin"] = self.strict_margin
+        if self.strictness is not None:
+            d["strict_positivity_margin"] = self.strictness.margin
+            d["strict_positivity_steps"] = self.strictness.steps
+            d["strict_positivity_bound"] = self.strictness.bound
         if self.twice_s is not None:
             d["S"] = self.twice_s / 2
         if self.note:
@@ -207,7 +221,7 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
         ground_here = _at_ground(gs.energy, e0)
         cone, note = _sector_cone(spec, basis)
         erg = None
-        strict_margin = None
+        strict = None
         twice_s = None
         if ground_here:
             degeneracy += gs.multiplicity
@@ -228,12 +242,13 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
                                 f" ({erg.witness})")
             if ground_here:
                 psi = cn.gauge_fix(gs.vectors[:, 0], cone)
-                strict, strict_margin = cn.strict_positivity(psi, cone)
-                if not strict:
+                strict = cn.strict_positivity(psi, cone, h=h.matrix, ground=gs,
+                                              ergodic=erg)
+                if not strict.ok:
                     failures.append(f"sector M={tm}/2: ground vector not strictly "
-                                    f"positive (margin {strict_margin:.3e})")
+                                    f"positive (margin {strict.margin:.3e})")
         sector_reports.append(SectorReport(tm, basis.dim, gs.energy, gs.multiplicity,
-                                           gs.gap, erg, strict_margin, twice_s,
+                                           gs.gap, erg, strict, twice_s,
                                            gs.solver, note))
     if len(twice_s_seen) > 1:
         failures.append(f"ground sectors disagree on total spin: {sorted(twice_s_seen)}")
@@ -252,6 +267,10 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
     else:
         verdict = "consequence-verified-pass" if consequence_mode else "pass"
     tolerances = {"energy_equality_rtol": ENERGY_EQUALITY_RTOL,
+                  "diagonal_strictness": "perron-frobenius margin, within "
+                                         "2*residual/gap of the solved vector",
+                  "perron_rtol": cn.PERRON_RTOL,
+                  "perron_max_steps": cn.PERRON_MAX_STEPS,
                   "strictness_tol": cn.STRICT_TOL,
                   "ladder_closure_rtol": LADDER_CLOSURE_RTOL,
                   "degeneracy_tol": DEGENERACY_TOL}
@@ -304,11 +323,11 @@ def verify_kondo(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
             continue
         idx, cone = cn.kondo_diagonal_restriction(h.domain, sign)
         projected = cn.gauge_fix(gs.vectors[:, 0][idx], cone)
-        strict, margin = cn.strict_positivity(projected, cone)
-        if not strict:
+        strict = cn.strict_positivity(projected, cone)
+        if not strict.ok:
             failures.append(f"sector M={tm}/2: projected vector not "
                             f"strictly positive in the doubled-site cone "
-                            f"(margin {margin:.3e})")
+                            f"(margin {strict.margin:.3e})")
     if not failures:
         return report
     return dataclasses.replace(report, verdict="fail",

@@ -269,3 +269,25 @@ def reference_hole_particle(basis, part_a, part_b):
         vals = np.array([1.0 - 2.0 * (s.up.bit_count() & 1) for s in basis.states])
         w = sp.diags(vals, format="csr") @ w
     return w.tocsr()
+
+
+# distinguished-sign tables ---------------------------------------------------
+#
+# The package reads the MLM signs off the up masks in one array expression.
+# This is the per-state construction it replaced: each signed |X, Xbar>
+# vector built by explicit operator application, which must give back the
+# basis state of its row.
+
+def reference_mlm_sign_table(basis, part_b_mask: int | None = None) -> list[int]:
+    """``fock.mlm_sign_table`` one state at a time, through ``cons_vector``."""
+    from edspin.fock import cons_vector, pack
+    from edspin.lattice import bipartition
+    n = basis.n_sites
+    if part_b_mask is None:
+        part_b_mask = bipartition(basis.graph).b_mask()
+    signs = []
+    for up, dn in zip(*(f.tolist() for f in basis.fields())):
+        occ, sign = cons_vector(n, part_b_mask, up, up)
+        assert occ == pack((up, dn), n)
+        signs.append(sign)
+    return signs

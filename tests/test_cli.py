@@ -20,6 +20,13 @@ def test_verify_mlm_star_exit_zero(tmp_path):
                                               "restarts": 0}
 
 
+def test_verify_table_shows_the_strictness_bound(capsys):
+    assert run(["verify", "--model", "mlm", "--lattice", "star:2"]) == EXIT_PASS
+    header, *rows = capsys.readouterr().out.splitlines()[1:4]
+    assert header.split()[-2:] == ["margin", "bound"]
+    assert all(len(row.split()) == len(header.split()) for row in rows)
+
+
 def test_verify_nt_path_exits_validation(capsys):
     code = run(["verify", "--model", "hubbard_nt", "--lattice", "path:4"])
     assert code == EXIT_VALIDATION
@@ -81,6 +88,19 @@ def test_build_and_diagonalize(tmp_path, capsys):
     assert run(["diagonalize", "--model", "mlm", "--lattice", "star:2",
                 "--m", "0"]) == EXIT_PASS
     assert "-1.25" in capsys.readouterr().out
+
+
+def test_diagonalize_resolves_a_70_fold_one_hole_cluster(tmp_path):
+    """hubbard_nt on path:9 at M=0 (630 states, above DENSE_PREFERENCE):
+    each of the C(8,4) = 70 spin orderings has the same hole-chain ground
+    energy, more vectors than the Krylov route resolves, so the sector is
+    solved densely."""
+    out = tmp_path / "report.json"
+    assert run(["diagonalize", "--model", "hubbard_nt", "--lattice", "path:9",
+                "--m", "0", "--out", str(out)]) == EXIT_PASS
+    [sector] = json.loads(out.read_text())["sectors"]
+    assert sector["dim"] == 630 and sector["multiplicity"] == 70
+    assert sector["solver"]["route"] == "dense"
 
 
 def test_scan_pair_invariance_commands(tmp_path):

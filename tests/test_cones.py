@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from edspin.cones import (DiagonalCone, PSDMatrixCone, _sample_psd_members,
-                          ergodicity, gauge_fix, hubbard_cone, kondo_cone,
+from edspin.cones import (PERRON_MAX_STEPS, STRICT_TOL, DiagonalCone,
+                          PSDMatrixCone, StrictnessVerdict,
+                          _sample_psd_members, ergodicity,
+                          gauge_fix, hubbard_cone, kondo_cone,
                           kondo_diagonal_restriction, membership, mlm_cone,
                           modular_conjugation, monotonicity_check,
                           nesting_consistency, nt_cone, positivity_preserving,
@@ -14,7 +16,9 @@ from edspin.cones import (DiagonalCone, PSDMatrixCone, _sample_psd_members,
 from edspin.fock import SubspaceKind, enumerate_sector, kondo_sign_table
 from edspin.hamiltonians import ModelSpec, build, coupling_matrix
 from edspin.lattice import grid_graph, path_graph, star_graph
-from edspin.spectra import DENSE_THRESHOLD, ground_space
+from edspin.spectra import (DEGENERACY_TOL, DENSE_PREFERENCE, DENSE_THRESHOLD,
+                            GroundSpace, SolverStats, dense_eigensolve,
+                            ground_space, lanczos_ground)
 
 from oracles import dense_diagonal_ergodicity
 
@@ -33,13 +37,13 @@ def mlm_star_m0():
 def test_membership_and_strictness(mlm_star_m0):
     h, cone = mlm_star_m0
     xi = cone.order_unit()
-    strict, margin = strict_positivity(xi, cone)
-    assert strict and abs(margin - 1.0) < 1e-12
+    strict = strict_positivity(xi, cone)
+    assert strict.ok and abs(strict.margin - 1.0) < 1e-12
     e0 = np.zeros(cone.dim)
     e0[0] = cone.signs[0]
     member, margin = membership(e0, cone)
-    strict, _ = strict_positivity(e0, cone)
-    assert member and not strict and abs(margin) < 1e-15
+    strict = strict_positivity(e0, cone)
+    assert member and not strict.ok and abs(margin) < 1e-15
     member, _ = membership(-xi, cone)
     assert not member
     with pytest.raises(ValueError, match="dimension"):
@@ -50,8 +54,8 @@ def test_ground_vector_strict_positivity(mlm_star_m0):
     h, cone = mlm_star_m0
     gs = ground_space(h)
     psi = gauge_fix(gs.vectors[:, 0], cone)
-    strict, margin = strict_positivity(psi, cone)
-    assert strict and margin > 0.1
+    strict = strict_positivity(psi, cone)
+    assert strict.ok and strict.margin > 0.1
 
 
 def test_gauge_fix(mlm_star_m0):
@@ -162,8 +166,7 @@ def test_perron_frobenius_consequence():
         if ergodicity(h.matrix, cone).verdict == "ergodic":
             gs = ground_space(h)
             assert gs.multiplicity == 1
-            strict, _ = strict_positivity(gauge_fix(gs.vectors[:, 0], cone), cone)
-            assert strict
+            assert strict_positivity(gauge_fix(gs.vectors[:, 0], cone), cone).ok
 
 
 def test_monotonicity():
@@ -247,12 +250,12 @@ def test_kondo_diagonal_restriction_cone():
     gs = ground_space(h)
     idx, cone = kondo_diagonal_restriction(basis, "af")
     projected = gauge_fix(gs.vectors[:, 0][idx], cone)
-    strict, margin = strict_positivity(projected, cone)
-    assert strict and margin > 0
+    strict = strict_positivity(projected, cone)
+    assert strict.ok and strict.margin > 0
     full_cone = kondo_cone(basis, "af")
     psi = gauge_fix(gs.vectors[:, 0], full_cone)
-    strict, margin = strict_positivity(psi, full_cone)
-    assert strict and margin > 0
+    strict = strict_positivity(psi, full_cone)
+    assert strict.ok and strict.margin > 0
 
 
 def _diagonal_cases():
@@ -352,3 +355,130 @@ def test_dense_checks_refuse_oversized_sectors():
         positivity_preserving(big, psd)
     # the sparse structural test has no such limit
     assert ergodicity(-sp.eye(n, k=1) - sp.eye(n, k=-1), cone).verdict == "ergodic"
+
+
+# certified strictness -------------------------------------------------------
+
+def _heisenberg_path(n: int, flipped_bond: bool = False) -> ModelSpec:
+    g = path_graph(n)
+    j = coupling_matrix(g, 1.0, "nn")
+    if flipped_bond:
+        j[0, 1] = j[1, 0] = -1.0
+    return ModelSpec("heisenberg", g, j=j)
+
+
+def _ground_of(mat, vals, vecs, route: str) -> GroundSpace:
+    """The ground space of one solver's eigenpairs, clustered as
+    ``ground_space`` clusters them."""
+    e0 = float(vals[0])
+    mult = int(np.sum(vals <= e0 + DEGENERACY_TOL * max(1.0, abs(e0))))
+    q = vecs[:, :mult]
+    residuals = tuple(float(np.linalg.norm(mat @ v - e0 * v)) for v in q.T)
+    return GroundSpace(e0, mult, q, residuals, float(vals[mult] - e0),
+                       SolverStats(route))
+
+
+def _certified(h, cone, gs, ergodic=None):
+    return strict_positivity(gauge_fix(gs.vectors[:, 0], cone), cone,
+                             h=h.matrix, ground=gs, ergodic=ergodic)
+
+
+_NT_GRID = grid_graph(3, 3)
+_MID_SIZE_SECTORS = [
+    pytest.param(spec, make_cone, tm, id=f"{label} M={tm}/2")
+    for label, spec, make_cone, twice_ms in (
+        ("heisenberg path:12", _heisenberg_path(12), mlm_cone, (-4, -2, 0, 2, 4)),
+        ("heisenberg path:14", _heisenberg_path(14), mlm_cone, (-6, 6)),
+        ("hubbard_nt grid:3x3",
+         ModelSpec("hubbard_nt", _NT_GRID, t=coupling_matrix(_NT_GRID, 1.0, "nn")),
+         nt_cone, (-2, 0, 2)))
+    for tm in twice_ms]
+
+
+@pytest.mark.parametrize("spec,make_cone,twice_m", _MID_SIZE_SECTORS)
+def test_dense_and_krylov_solves_agree_on_mid_size_sectors(spec, make_cone, twice_m):
+    """Every sector of 401-1200 states of the diag_cone models now takes the
+    Krylov route; solved both ways it gives the same E0, multiplicity, gap
+    and certified strictness verdict; the refinement converges well within
+    its step cap, the one-hole sectors (zero diagonal, bipartite hopping)
+    included."""
+    h = build(spec, twice_m / 2)
+    assert DENSE_PREFERENCE < h.domain.dim <= 1200
+    assert ground_space(h).solver.route == "lanczos"
+    cone = make_cone(h.domain)
+    dense = _ground_of(h.matrix, *dense_eigensolve(h), "dense")
+    krylov = _ground_of(h.matrix, *lanczos_ground(h, k=2), "lanczos")
+    assert abs(krylov.energy - dense.energy) <= 1e-12 * abs(dense.energy)
+    assert krylov.multiplicity == dense.multiplicity == 1
+    assert abs(krylov.gap - dense.gap) <= 1e-9
+    s_dense, s_krylov = (_certified(h, cone, gs) for gs in (dense, krylov))
+    assert s_dense.ok and s_krylov.ok
+    assert abs(s_krylov.margin - s_dense.margin) <= 1e-6 * s_dense.margin
+    assert 0 < s_dense.steps < PERRON_MAX_STEPS
+    assert 0 < s_krylov.steps < PERRON_MAX_STEPS
+
+
+def test_certified_rule_damps_the_bipartite_partner_of_a_one_hole_ground():
+    """A one-hole sector has a zero diagonal and a bipartite configuration
+    graph, so B = S H S also has the eigenvalue -E0.  Unshifted, sigma I - B
+    would keep a solved vector's admixture of that eigenvector forever; the
+    shift above max diag(B) damps it, and the margin is the exact one."""
+    g = grid_graph(2, 3)
+    h = build(ModelSpec("hubbard_nt", g, t=coupling_matrix(g, 1.0, "nn")), 0.5)
+    assert not h.matrix.diagonal().any()
+    cone = nt_cone(h.domain)
+    vals, vecs = dense_eigensolve(h)
+    assert abs(vals[0] + vals[-1]) < 1e-12
+    exact = cone.to_distinguished(gauge_fix(vecs[:, 0], cone)).min()
+    mixed = vecs[:, 0] + 1e-6 * vecs[:, -1]
+    mixed /= np.linalg.norm(mixed)
+    residual = float(np.linalg.norm(h.matrix @ mixed - vals[0] * mixed))
+    gs = GroundSpace(float(vals[0]), 1, mixed[:, None], (residual,),
+                     float(vals[1] - vals[0]), SolverStats("dense"))
+    strict = _certified(h, cone, gs)
+    assert strict.ok and strict.steps < PERRON_MAX_STEPS
+    assert abs(strict.margin - exact) <= 1e-9 * exact
+
+
+def test_sign_mutated_hamiltonian_fails_strictness_and_ergodicity():
+    """One bond of the 12-site chain made ferromagnetic: S H S is no longer
+    Metzler, so neither the ergodicity test nor the certified rule passes."""
+    h = build(_heisenberg_path(12, flipped_bond=True), 0)
+    cone = mlm_cone(h.domain)
+    gs = ground_space(h)
+    assert gs.solver.route == "lanczos"
+    erg = ergodicity(h.matrix, cone, ground=gs)
+    assert erg.verdict == "not-ergodic"
+    for ergodic in (erg, None):     # the verdict passed in, or made here
+        strict = _certified(h, cone, gs, ergodic)
+        assert not strict.ok and strict.steps == 0
+
+
+def test_excited_vector_fails_the_agreement_bound():
+    """An excited eigenvector passed off as the ground vector: the refinement
+    turns it into a positive vector far from it, so the rule refuses it on
+    the agreement bound, not on the margin."""
+    h = build(_heisenberg_path(8), 0)
+    cone = mlm_cone(h.domain)
+    vals, vecs = dense_eigensolve(h)
+    xi = cone.order_unit()
+    k = next(k for k in range(1, len(vals)) if abs(xi @ vecs[:, k]) > 1e-6)
+    fake = _ground_of(h.matrix, vals[k:], vecs[:, k:], "dense")
+    assert fake.multiplicity == 1 and max(fake.residuals) < 1e-12
+    strict = _certified(h, cone, fake)
+    assert not strict.ok and strict.margin > 0
+    assert 0 < strict.bound < 1e-9
+    assert _certified(h, cone, _ground_of(h.matrix, vals, vecs, "dense")).ok
+
+
+def test_certified_rule_records_its_steps_and_bound(mlm_star_m0):
+    h, cone = mlm_star_m0
+    gs = ground_space(h)
+    strict = _certified(h, cone, gs, ergodicity(h.matrix, cone))
+    raw = cone.to_distinguished(gauge_fix(gs.vectors[:, 0], cone)).min()
+    assert strict.ok and abs(strict.margin - raw) <= 1e-12
+    assert 1 <= strict.steps < PERRON_MAX_STEPS
+    assert 2 * max(gs.residuals) / gs.gap <= strict.bound < 1e-12
+    # without the ground space, on a vector of no sector, the raw test decides
+    assert strict_positivity(cone.order_unit(), cone) == StrictnessVerdict(
+        True, 1.0, 0, STRICT_TOL)

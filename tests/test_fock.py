@@ -10,7 +10,7 @@ from edspin.fock import (BasisState, SubspaceKind, apply_annihilation,
                          sector_dimension, sector_twice_m_values)
 from edspin.lattice import bipartition, grid_graph, path_graph, star_graph
 
-from oracles import interleaved_cons, one_hole_vector
+from oracles import interleaved_cons, one_hole_vector, reference_mlm_sign_table
 
 
 def state_tuple(s: BasisState, n: int) -> tuple:
@@ -165,6 +165,33 @@ def test_hubbard_table_restricts_to_mlm_on_diagonal():
         for s, sign, (x, y) in zip(basis.states, signs, labels):
             if x == y and (s.up | s.dn) == full and not (s.up & s.dn):
                 assert sign == mlm[x]
+
+
+@pytest.mark.parametrize("g", [path_graph(12), path_graph(14), star_graph(3),
+                               grid_graph(2, 3)],
+                         ids=["path:12", "path:14", "star:3", "grid:2x3"])
+def test_mlm_sign_table_matches_per_state_reference(g):
+    kind = SubspaceKind.single_occupancy()
+    for tm in sector_twice_m_values(g, kind):
+        basis = enumerate_sector(g, kind, m=tm / 2)
+        assert mlm_sign_table(basis).tolist() == reference_mlm_sign_table(basis)
+
+
+def test_mlm_sign_table_with_an_explicit_part_b_mask():
+    """Any site mask, bipartition or not, gives the construction's signs."""
+    for g in (star_graph(3), path_graph(12)):
+        basis = enumerate_sector(g, SubspaceKind.single_occupancy())
+        n = g.vertex_count
+        for mask in (0, 1, (1 << n) - 1, 0b100110010101 & ((1 << n) - 1)):
+            assert (mlm_sign_table(basis, mask).tolist()
+                    == reference_mlm_sign_table(basis, mask))
+
+
+def test_mlm_sign_table_refuses_states_that_are_not_its_words():
+    g = path_graph(4)
+    for kind in (SubspaceKind.full(4), SubspaceKind.one_hole()):
+        with pytest.raises(ValueError, match="singly occupied"):
+            mlm_sign_table(enumerate_sector(g, kind))
 
 
 def test_kondo_table_restricts_to_doubled_mlm():

@@ -143,6 +143,29 @@ def test_ground_space_records_its_solver():
     assert solver.route == "lanczos" and solver.steps > 0 and solver.restarts == 0
 
 
+def _degenerate_bottom(n: int, mult: int):
+    return sp.diags(np.r_[np.zeros(mult), np.linspace(1.0, 2.0, n - mult)])
+
+
+def test_krylov_route_hands_a_large_cluster_to_the_dense_route():
+    """A diagonal matrix above DENSE_PREFERENCE with a degenerate bottom: the
+    Krylov route resolves a 16-fold cluster; a 17- or 20-fold one, which it
+    would have reported as 16-fold with an infinite gap, is solved densely."""
+    n = spectra.DENSE_PREFERENCE + 1
+    for mult, route in ((16, "lanczos"), (17, "dense"), (20, "dense")):
+        gs = ground_space(_degenerate_bottom(n, mult))
+        assert gs.solver.route == route and gs.multiplicity == mult
+        assert abs(gs.gap - 1.0) < 1e-9
+
+
+def test_krylov_route_refuses_a_cluster_it_cannot_resolve():
+    """Above DENSE_THRESHOLD no dense route is left: a 17-fold cluster raises
+    instead of being reported as 16-fold."""
+    with pytest.raises(SolverError, match="unresolved"):
+        ground_space(_degenerate_bottom(spectra.DENSE_THRESHOLD + 1, 17))
+
+
+
 def test_ground_space_on_a_diagonal_phonon_sector():
     """The all-down sector of Holstein-Hubbard on path:4 (M=-2, dim 2401):
     no electron can move, so H is the diagonal phonon energy and the phonon

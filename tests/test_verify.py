@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edspin.fock import enumerate_sector
-from edspin.hamiltonians import ModelSpec, coupling_matrix
+from edspin.hamiltonians import ModelSpec, build, coupling_matrix
 from edspin.lattice import LatticeFamily, grid_graph, path_graph, star_graph
 from edspin.verify import (ValidationFailure, constancy_check,
                            cutoff_convergence, isomorphism_invariance,
@@ -127,12 +127,65 @@ def test_one_enumeration_per_sector(monkeypatch):
 def test_verify_kondo_keeps_projected_failures_of_a_failed_report(monkeypatch):
     import edspin.cones
     monkeypatch.setattr(edspin.cones, "strict_positivity",
-                        lambda psi, cone, tol=None: (False, -1.0))
+                        lambda psi, cone, tol=None, **kw:
+                        edspin.cones.StrictnessVerdict(False, -1.0, 0, 0.0))
     g2 = path_graph(2)
     report = verify_kondo(ModelSpec("kondo", g2, t=nn(g2), j_kondo=1.0))
     assert report.verdict == "fail"
     assert any("ground vector not strictly positive" in f for f in report.failures)
     assert any("projected vector" in f for f in report.failures)
+
+
+def test_verify_certifies_the_14_site_chain():
+    """The smallest Marshall-sign coefficient of the 14-site chain's M=0
+    ground vector (7.40e-13) lies below any fixed tolerance and below the
+    Krylov vector's accuracy; the certified margin reproduces the dense
+    ``eigh`` value and the verdict is ``pass``."""
+    import scipy.linalg
+    from edspin.cones import gauge_fix, mlm_cone
+    g = path_graph(14)
+    spec = ModelSpec("heisenberg", g, j=nn(g))
+    report = verify_mlm_class(spec)
+    assert report.verdict == "pass", report.failures
+    [m0] = [s for s in report.sectors if s.twice_m == 0]
+    assert m0.solver.route == "lanczos" and m0.strictness.steps > 0
+    h = build(spec, 0)
+    cone = mlm_cone(h.domain)
+    dense = scipy.linalg.eigh(h.matrix.toarray(), subset_by_index=[0, 0])[1][:, 0]
+    exact = float(cone.to_distinguished(gauge_fix(dense, cone)).min())
+    assert 7.3e-13 < exact < 7.5e-13
+    assert abs(m0.strict_margin - exact) <= 1e-6 * exact
+    d = m0.to_dict()
+    assert d["strict_positivity_steps"] == m0.strictness.steps
+    assert 0 < d["strict_positivity_bound"] < 1e-6
+
+
+def test_report_names_each_strictness_rule():
+    """Diagonal-cone ground sectors carry the certified rule's steps and
+    bound, PSD-cone ground sectors the raw rule's 0 steps and tolerance;
+    other sectors carry neither."""
+    from edspin.cones import STRICT_TOL
+    g4, g2 = path_graph(4), path_graph(2)
+    diag = verify_mlm_class(ModelSpec("heisenberg", g4, j=nn(g4))).to_dict()
+    psd = verify_mlm_class(ModelSpec("hubbard", g2, t=nn(g2),
+                                     u=4.0 * np.eye(2))).to_dict()
+
+    def ground(doc):
+        out = [s for s in doc["sectors"] if "strict_positivity_margin" in s]
+        assert out
+        return out
+
+    for s in ground(diag):
+        assert s["strict_positivity_steps"] > 0
+        assert 0 < s["strict_positivity_bound"] < STRICT_TOL
+    for s in ground(psd):
+        assert s["strict_positivity_steps"] == 0
+        assert s["strict_positivity_bound"] == STRICT_TOL
+    for doc in (diag, psd):
+        assert all(("strict_positivity_steps" in s) == ("strict_positivity_margin" in s)
+                   for s in doc["sectors"])
+        assert doc["tolerances"]["strictness_tol"] == STRICT_TOL
+        assert "perron-frobenius" in doc["tolerances"]["diagonal_strictness"]
 
 
 def test_report_serialization_round_trip():
