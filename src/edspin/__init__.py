@@ -6,10 +6,8 @@ from .lattice import (Graph, Bipartition, LatticeFamily, ConfigGraph,
                       sublattice_imbalance, spin_density_sequence,
                       nt_config_graph, path_graph, cycle_graph, star_graph,
                       grid_graph, read_edge_list, write_edge_list)
-from .fock import (SubspaceKind, BasisState, SectorBasis, enumerate_sector,
-                   apply_annihilation, apply_creation, magnetization,
-                   mlm_basis_vector, nt_basis_vector, sector_dimension,
-                   sector_twice_m_values)
+from .fock import (SubspaceKind, SectorBasis, enumerate_sector,
+                   sector_dimension, sector_twice_m_values)
 from .operators import (SparseOperator, spin_op, spin_dot, total_spin_squared,
                         ladder_ops, hopping, coulomb, heisenberg_bond,
                         gutzwiller, hole_particle, phonon_ops, full_fock_basis,

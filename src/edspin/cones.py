@@ -184,9 +184,8 @@ def _psd_cone(row_keys, col_keys, signs, basis: SectorBasis, name: str
 
 
 def hubbard_cone(basis: SectorBasis) -> PSDMatrixCone:
-    labels = np.array(hubbard_labels(basis), dtype=np.uint64).reshape(-1, 2)
-    return _psd_cone(labels[:, 0], labels[:, 1], hubbard_sign_table(basis),
-                     basis, "half-filled-psd")
+    x, y = hubbard_labels(basis)
+    return _psd_cone(x, y, hubbard_sign_table(basis), basis, "half-filled-psd")
 
 
 def kondo_cone(basis: SectorBasis, coupling_sign: str) -> PSDMatrixCone:

@@ -23,17 +23,27 @@ orbital to its bit in the word and to the bits of the orbitals preceding
 it, whose occupied count gives the Jordan-Wigner sign.
 
 A canonical basis state is the ascending-orbital product of creation
-operators on the vacuum; every signed basis vector used by the positivity
+operators on the vacuum.  Every signed basis vector used by the positivity
 cones (the |X, Xbar>-type vectors, the one-hole |sigma> vectors and their
-two-species analogues) is realized as +/- one canonical state, with the sign
-computed by explicit operator application.
+two-species analogues) is +/- one canonical state, and the sign tables give
+that sign for every row of a basis at once, in closed form over the packed
+words.  The site-interleaved construction prod'_x [c*_up][c_dn][c*_dn]
+|empty> has string sign +1, so a label (X, Y) (up set X, down set the
+complement of Y, part mask P, k = |X|) carries
+
+    (-1)^(|P| + |Y & P| + #{x in X, y in Y : x > y} + k(k-1)/2),
+
+the spin-reflection-positivity decoration of Lieb (PRL 62, 1201 (1989)),
+with the pair count taken bit plane by bit plane (Sandvik,
+arXiv:1101.3281).  The symbolic per-state constructions that these forms
+are checked against, sign for sign, are in ``tests/oracles.py``.
 
 Half-integer quantum numbers are carried as twice-value integers.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -95,30 +105,8 @@ class SubspaceKind:
         return 2 * n_sites  # kondo
 
 
-@dataclass(frozen=True)
-class BasisState:
-    """Occupation bitmasks per species/spin plus phonon occupancies."""
-
-    up: int
-    dn: int
-    fup: int = 0
-    fdn: int = 0
-    ph: tuple[int, ...] = ()
-
-    def sort_key(self) -> tuple:
-        return (self.up, self.dn, self.fup, self.fdn, self.ph)
-
-
-def magnetization(s: BasisState):
-    """S3 eigenvalue (n_up - n_dn)/2 summed over species, as an exact Fraction."""
-    from fractions import Fraction
-    t = (s.up.bit_count() - s.dn.bit_count()
-         + s.fup.bit_count() - s.fdn.bit_count())
-    return Fraction(t, 2)
-
-
 # ---------------------------------------------------------------------------
-# packed words and elementary operators
+# packed words and orbitals
 # ---------------------------------------------------------------------------
 
 def pack(fields, n_sites: int):
@@ -152,38 +140,6 @@ def orbital_index(x: int, spin: int, species: int = 0, species_count: int = 1) -
     if species_count == 1:
         return 2 * x + spin
     return 4 * x + 2 * species + spin
-
-
-def _flip(word: int, orb: int, create: bool, masks) -> tuple[int, int] | None:
-    """c*_orb (``create``) or c_orb on a packed word: (word, sign), or None
-    when it vanishes; the sign is (-1)^(occupied orbitals preceding orb)."""
-    bit, before = masks[0][orb], masks[1][orb]
-    if bool(word & bit) == create:
-        return None
-    return word ^ bit, -1 if (word & before).bit_count() & 1 else 1
-
-
-def _apply_one(s: BasisState, x: int, spin: int, n_sites: int, species: int,
-               species_count: int, create: bool) -> tuple[BasisState, int] | None:
-    fields = (s.up, s.dn, s.fup, s.fdn)[:2 * species_count]
-    res = _flip(pack(fields, n_sites), orbital_index(x, spin, species, species_count),
-                create, orbital_masks(n_sites, species_count))
-    if res is None:
-        return None
-    return BasisState(*unpack(res[0], n_sites, species_count), ph=s.ph), res[1]
-
-
-def apply_annihilation(s: BasisState, x: int, spin: int, n_sites: int,
-                       species: int = 0, species_count: int = 1
-                       ) -> tuple[BasisState, int] | None:
-    """c_{x spin} on ``s``; ``None`` if the orbital is empty."""
-    return _apply_one(s, x, spin, n_sites, species, species_count, False)
-
-
-def apply_creation(s: BasisState, x: int, spin: int, n_sites: int,
-                   species: int = 0, species_count: int = 1
-                   ) -> tuple[BasisState, int] | None:
-    return _apply_one(s, x, spin, n_sites, species, species_count, True)
 
 
 # ---------------------------------------------------------------------------
@@ -271,32 +227,6 @@ class SectorBasis:
         found = self.words[np.minimum(i, len(self.words) - 1)] == words
         return np.where(found, i, -1)
 
-    # BasisState view, for callers outside the array code ---------------------
-
-    @property
-    def states(self) -> tuple[BasisState, ...]:
-        """Every basis state as a ``BasisState``, in row order."""
-        n_max = self.subspace.n_max
-        phonons = [()] if n_max is None else list(product(range(n_max + 1),
-                                                           repeat=self.n_sites))
-        fields = zip(*(f.tolist() for f in unpack(self.words, self.n_sites,
-                                                   self.species_count)))
-        return tuple(BasisState(*masks, ph=ph) for masks in fields for ph in phonons)
-
-    def index_of(self, s: BasisState) -> int | None:
-        """Row of ``s``, or None when it is not a state of this basis."""
-        k, n, n_max = 2 * self.species_count, self.n_sites, self.subspace.n_max
-        masks = (s.up, s.dn, s.fup, s.fdn)
-        if (any(masks[k:]) or max(masks) >> n or len(s.ph) != (0 if n_max is None else n)
-                or not all(0 <= p <= n_max for p in s.ph)):
-            return None
-        i = int(self.lookup(np.uint64(pack(masks[:k], n))))
-        if i < 0:
-            return None
-        for p in s.ph:
-            i = i * (n_max + 1) + p
-        return i
-
 
 def _sector_words(n: int, kind: SubspaceKind, n_electrons: int,
                   twice_m: int) -> np.ndarray:
@@ -369,117 +299,15 @@ def sector_dimension(g: Graph, kind: SubspaceKind, m) -> int:
 
 
 # ---------------------------------------------------------------------------
-# signed distinguished-basis vectors
-# ---------------------------------------------------------------------------
-
-def _apply_product(occ: int, orbs: list[int], create: bool, masks) -> tuple[int, int] | None:
-    """Ascending left-to-right operator product: rightmost factor acts first."""
-    sign = 1
-    for orb in reversed(sorted(orbs)):
-        res = _flip(occ, orb, create, masks)
-        if res is None:
-            return None
-        occ, s = res
-        sign *= s
-    return occ, sign
-
-
-def cons_vector(n_sites: int, part_b_mask: int, up_set: int, dn_kill_set: int,
-                species_count: int = 1) -> tuple[int, int]:
-    """Signed basis vector (-1)^(|B| + |D cap B|) prod'_x [c*_up][c_dn][c*_dn] |empty>,
-    as (packed word, sign).
-
-    ``up_set`` is X (up creations), ``dn_kill_set`` is D (the down region
-    annihilated out of the all-down reference).  The operator product is
-    swept site by site in the fixed ascending order with each site's factors
-    applied together; under this interleaving the construction of a basis
-    vector over a disjoint union of site ranges factors exactly, with no
-    residual permutation sign, which is what makes the cones of nested
-    lattices consistent.  The string sign is computed by explicit operator
-    application (it comes out +1: a site's operators only ever cross empty
-    lower orbitals).  For two species the "sites" are doubled, 2x + species.
-    """
-    masks = orbital_masks(n_sites, species_count)
-    site_count = n_sites * species_count
-    occ = 0
-    sign = 1
-    for u in reversed(range(site_count)):     # rightmost (largest) site first
-        occ, s = _flip(occ, 2 * u + 1, True, masks)
-        sign *= s
-        if (dn_kill_set >> u) & 1:
-            res = _flip(occ, 2 * u + 1, False, masks)
-            assert res is not None
-            occ, s = res
-            sign *= s
-        if (up_set >> u) & 1:
-            res = _flip(occ, 2 * u, True, masks)
-            if res is None:
-                raise ValueError("up set collides with an occupied orbital")
-            occ, s = res
-            sign *= s
-    pref = part_b_mask.bit_count() + (dn_kill_set & part_b_mask).bit_count()
-    if pref & 1:
-        sign = -sign
-    return occ, sign
-
-
-def mlm_basis_vector(g: Graph, x_set: int, basis: SectorBasis | None = None
-                     ) -> tuple[BasisState, int] | tuple[int, int]:
-    """Signed |X, Xbar> vector of the single-occupancy space.
-
-    Returns (state, sign); if ``basis`` is given, returns (row index, sign)
-    into it instead.
-    """
-    bp = bipartition(g)
-    if bp is None:
-        raise ValueError("graph is not bipartite")
-    occ, sign = cons_vector(g.vertex_count, bp.b_mask(), x_set, x_set)
-    state = BasisState(*unpack(occ, g.vertex_count, 1))
-    if basis is None:
-        return state, sign
-    idx = basis.index_of(state)
-    if idx is None:
-        raise ValueError("state not in the supplied basis")
-    return idx, sign
-
-
-def nt_basis_vector(g: Graph, sigma: tuple[int, ...]) -> tuple[BasisState, int]:
-    """Signed one-hole vector |sigma>: the hole-annihilated site-ordered product.
-
-    The auxiliary spin placed at the hole site cancels out; the net sign is
-    (-1)^(position of the hole in the site order).
-    """
-    n = g.vertex_count
-    if len(sigma) != n or sigma.count(0) != 1:
-        raise ValueError("sigma must have exactly one hole")
-    hole = sigma.index(0)
-    occ = 0
-    sign = 1
-    orbs = [2 * x + (0 if sigma[x] == 1 else 1) for x in range(n) if x != hole]
-    occ, s = _apply_product(occ, orbs, True, orbital_masks(n, 1))
-    sign *= s
-    if hole & 1:
-        sign = -sign
-    # the site-ordered product above already skips the hole; the parity factor
-    # accounts for commuting the annihilator through the preceding creators
-    up = dn = 0
-    for x in range(n):
-        if sigma[x] == 1:
-            up |= 1 << x
-        elif sigma[x] == -1:
-            dn |= 1 << x
-    return BasisState(up, dn), sign
-
-
-# ---------------------------------------------------------------------------
 # distinguished-sign tables for whole sector bases
 # ---------------------------------------------------------------------------
 
 def mlm_sign_table(basis: SectorBasis, part_b_mask: int | None = None) -> np.ndarray:
     """Signs s_i with |X_i, Xbar_i> = s_i * canonical_i over a single-occupancy basis.
 
-    ``cons_vector(n, B, X, X)`` builds the state with up set X and down set
-    the complement of X, with string sign +1, so s = (-1)^(|B| + |X cap B|).
+    The construction with up set X and down set the complement of X has
+    string sign +1, so s = (-1)^(|B| + |X cap B|) (the module's closed form
+    at Y = X, where the pair count and k(k-1)/2 cancel).
     Raises ``ValueError`` unless every state is that word: singly occupied
     with the down set the complement of the up set.
     """
@@ -503,45 +331,33 @@ def nt_sign_table(basis: SectorBasis) -> np.ndarray:
     return np.where(np.bitwise_count(hole - 1) & 1, -1, 1)
 
 
-def hubbard_labels(basis: SectorBasis) -> list[tuple[int, int]]:
-    """(X, Y) labels of a half-filled full basis: up set X, down set = complement of Y."""
+def _psd_signs(x, y, part2: int, n_bits: int) -> np.ndarray:
+    """(-1)^(|P| + |Y & P| + #{a in X, b in Y : a > b} + k(k-1)/2), k = |X|,
+    for every label (X, Y) of ``n_bits``-bit set arrays; P = ``part2``.
+
+    The first two terms are the site-interleaved construction sign, the pair
+    count is the up/down reorder parity, summed over the bit planes b of Y
+    as popcount(X >> (b+1)), and the last term normalizes each
+    particle-count block so that diagonal labels carry the MLM signs.
+    """
+    count = part2.bit_count() + np.bitwise_count(y & np.uint64(part2)).astype(np.int64)
+    for b in range(n_bits):
+        count += ((y >> b) & 1).astype(np.int64) * np.bitwise_count(x >> (b + 1))
+    k = np.bitwise_count(x).astype(np.int64)
+    count += k * (k - 1) // 2
+    return np.where(count & 1, -1, 1)
+
+
+def hubbard_labels(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) labels of a half-filled full basis: up set X, down set = complement
+    of Y.  Raises ``ValueError`` for a basis of any other kind or filling."""
+    if basis.subspace.kind != "full" or basis.n_electrons != basis.n_sites:
+        raise ValueError("Hubbard labels need a half-filled full basis")
     up, dn = basis.fields()
-    full = (1 << basis.n_sites) - 1
-    return list(zip(up.tolist(), (full ^ dn).tolist()))
+    return up, ((1 << basis.n_sites) - 1) ^ dn
 
 
-def updown_reorder_sign(x_set: int, y_set: int) -> int:
-    """Parity of moving all down creators behind the up creators:
-    (-1)^(number of pairs x in X, y in Y with x > y)."""
-    inv = 0
-    y = 0
-    rest = y_set
-    while rest:
-        if rest & 1:
-            inv += (x_set >> (y + 1)).bit_count()
-        rest >>= 1
-        y += 1
-    return -1 if inv & 1 else 1
-
-
-def _decorated_signs(n_sites: int, part2: int, labels, words, species_count: int
-                     ) -> list[int]:
-    """Construction sign times up/down reorder parity, normalized per
-    particle-count block, of each (up set, complement of down) label pair;
-    each constructed vector must be the basis state of its row."""
-    signs = []
-    for (x_set, y_set), word in zip(labels, words):
-        occ, sign = cons_vector(n_sites, part2, x_set, y_set, species_count)
-        assert occ == word
-        k = x_set.bit_count()
-        sign *= updown_reorder_sign(x_set, y_set)
-        if (k * (k - 1) // 2) & 1:
-            sign = -sign
-        signs.append(sign)
-    return signs
-
-
-def hubbard_sign_table(basis: SectorBasis) -> list[int]:
+def hubbard_sign_table(basis: SectorBasis) -> np.ndarray:
     """Signs of the PSD-cone vectors over a half-filled full basis.
 
     The sign at label (X, Y) is the site-interleaved construction sign
@@ -551,13 +367,11 @@ def hubbard_sign_table(basis: SectorBasis) -> list[int]:
     restricts to the diagonal cone, is hermitian-compatible, and factors
     across nested lattices.
     """
-    g = basis.graph
-    bp = bipartition(g)
+    bp = bipartition(basis.graph)
     if bp is None:
         raise ValueError("graph is not bipartite")
-    n = g.vertex_count
-    words = pack(basis.fields(), n).tolist()
-    return _decorated_signs(n, bp.b_mask(), hubbard_labels(basis), words, 1)
+    x, y = hubbard_labels(basis)
+    return _psd_signs(x, y, bp.b_mask(), basis.n_sites)
 
 
 def kondo_doubled_site(x: int, species: int) -> int:
@@ -587,30 +401,26 @@ def _spread(mask, n_sites: int):
     return sum(((mask >> x) & 1) << (2 * x) for x in range(n_sites))
 
 
-def _doubled_sets(up, dn, fup, fdn, n_sites: int) -> tuple:
-    full = (1 << n_sites) - 1
-    return (_spread(up, n_sites) | _spread(fup, n_sites) << 1,
-            _spread(full ^ dn, n_sites) | _spread(full ^ fdn, n_sites) << 1)
-
-
-def kondo_doubled_sets(s: BasisState, n_sites: int) -> tuple[int, int]:
-    """(U, V) doubled-site sets of a two-species state: up set and complement of down."""
-    return _doubled_sets(s.up, s.dn, s.fup, s.fdn, n_sites)
-
-
 def kondo_labels(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(U, V) doubled-site sets of every state of a Kondo basis."""
-    return _doubled_sets(*basis.fields(), basis.n_sites)
+    """(U, V) doubled-site sets of every state of a Kondo basis: site 2x + species
+    of U is occupied up, of V unoccupied down.  Raises ``ValueError`` for a
+    basis of any other kind."""
+    if basis.subspace.kind != "kondo":
+        raise ValueError("Kondo labels need a kondo basis")
+    n = basis.n_sites
+    full = (1 << n) - 1
+    up, dn, fup, fdn = basis.fields()
+    return (_spread(up, n) | _spread(fup, n) << 1,
+            _spread(full ^ dn, n) | _spread(full ^ fdn, n) << 1)
 
 
-def kondo_sign_table(basis: SectorBasis, coupling_sign: str) -> list[int]:
+def kondo_sign_table(basis: SectorBasis, coupling_sign: str) -> np.ndarray:
     """Signs of the doubled-lattice PSD-cone vectors over a Kondo basis.
 
-    The same decoration as ``hubbard_sign_table``, on the doubled sites with
-    the coupling-dependent bipartition playing the role of the B sublattice.
+    The same decoration as ``hubbard_sign_table``, on the 2n doubled sites
+    with the coupling-dependent bipartition playing the role of the B
+    sublattice.
     """
-    g = basis.graph
-    n = g.vertex_count
-    labels = zip(*(a.tolist() for a in kondo_labels(basis)))
-    words = pack(basis.fields(), n).tolist()
-    return _decorated_signs(n, kondo_part2_mask(g, coupling_sign), labels, words, 2)
+    u, v = kondo_labels(basis)
+    return _psd_signs(u, v, kondo_part2_mask(basis.graph, coupling_sign),
+                      2 * basis.n_sites)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import (BasisState, SectorBasis, SubspaceKind, cons_vector,
-                   enumerate_sector, orbital_index, orbital_masks, pack,
-                   sector_twice_m_values, unpack)
+from .fock import (SectorBasis, SubspaceKind, enumerate_sector,
+                   mlm_sign_table, orbital_index, orbital_masks, pack,
+                   sector_twice_m_values)
 from .lattice import Graph, bipartition
 
 HERMITICITY_TOL = 1e-12
@@ -412,25 +412,21 @@ def _rest_graph(g_small: Graph, g_big: Graph) -> tuple[Graph, int]:
     return Graph(k, rest_edges), bmask
 
 
-def uniform_rest_vector(g_small: Graph, g_big: Graph,
-                        signed: bool = True) -> list[tuple[BasisState, float]]:
+def uniform_rest_vector(g_small: Graph, g_big: Graph, signed: bool = True
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The normalized uniform single-occupancy vector on big minus small, in
-    canonical coordinates.
+    canonical coordinates: the (up, dn) site masks of its states, relabeled
+    to 0..k-1, and their weights.
 
     ``signed`` uses the inherited sublattice signs (the half-filled-class
     convention); the one-hole class carries no sublattice structure and uses
     the plain uniform vector.
     """
     rest, bmask = _rest_graph(g_small, g_big)
-    if not signed:
-        bmask = 0
-    k = rest.vertex_count
-    out = []
-    w = 2.0 ** (-k / 2.0)
-    for x_set in range(1 << k):
-        occ, sign = cons_vector(k, bmask, x_set, x_set)
-        out.append((BasisState(*unpack(occ, k, 1)), sign * w))
-    return out
+    basis = enumerate_sector(rest, SubspaceKind.single_occupancy())
+    up, dn = basis.fields()
+    signs = mlm_sign_table(basis, bmask if signed else 0)
+    return up, dn, signs * 2.0 ** (-rest.vertex_count / 2.0)
 
 
 def embed_isometry(basis_small: SectorBasis, basis_big: SectorBasis) -> SparseOperator:
@@ -446,16 +442,16 @@ def embed_isometry(basis_small: SectorBasis, basis_big: SectorBasis) -> SparseOp
         raise ValueError("phonon-product bases are not supported here")
     g_small, g_big = basis_small.graph, basis_big.graph
     m = g_small.vertex_count
-    rest_vec = uniform_rest_vector(g_small, g_big,
-                                   signed=basis_small.subspace.kind != "one_hole")
+    rest_up, rest_dn, weights = uniform_rest_vector(
+        g_small, g_big, signed=basis_small.subspace.kind != "one_hole")
     up, dn = basis_small.fields()
-    rest = np.array([(r.up, r.dn) for r, _ in rest_vec], dtype=np.uint64) << m
-    big = pack((up[:, None] | rest[:, 0], dn[:, None] | rest[:, 1]), g_big.vertex_count)
+    big = pack((up[:, None] | rest_up << m, dn[:, None] | rest_dn << m),
+               g_big.vertex_count)
     rows = basis_big.lookup(big.ravel())
     if (rows < 0).any():
         raise ValueError("embedded state missing from the big basis")
-    cols = np.repeat(np.arange(basis_small.dim), len(rest_vec))
-    vals = np.tile([w for _, w in rest_vec], basis_small.dim)
+    cols = np.repeat(np.arange(basis_small.dim), len(weights))
+    vals = np.tile(weights, basis_small.dim)
     mat = sp.csr_matrix((vals, (rows, cols)),
                         shape=(basis_big.dim, basis_small.dim))
     return SparseOperator(mat, basis_small, basis_big)

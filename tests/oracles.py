@@ -3,8 +3,13 @@
 Everything here is deliberately written against different machinery than the
 package: states are dictionaries keyed by sorted orbital tuples, spin chains
 are built from Pauli kron products, and combinatorial counts come straight
-from binomials.
+from binomials.  Of ``edspin.fock`` only sector enumeration and the packed
+word format are used (a test keeps it so); basis rows are read as plain
+(up, dn, fup, fdn, ph) tuples.
 """
+
+from bisect import bisect_left
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,10 +19,10 @@ import scipy.sparse as sp
 def sym_create(state: dict, orb: int) -> dict:
     out = {}
     for occ, c in state.items():
-        if orb in occ:
+        pos = bisect_left(occ, orb)          # occupied orbitals below orb
+        if occ[pos:pos + 1] == (orb,):
             continue
-        pos = sum(1 for o in occ if o < orb)
-        new = tuple(sorted(occ + (orb,)))
+        new = occ[:pos] + (orb,) + occ[pos:]
         out[new] = out.get(new, 0) + c * (-1) ** pos
     return out
 
@@ -25,10 +30,10 @@ def sym_create(state: dict, orb: int) -> dict:
 def sym_annihilate(state: dict, orb: int) -> dict:
     out = {}
     for occ, c in state.items():
-        if orb not in occ:
+        pos = bisect_left(occ, orb)
+        if occ[pos:pos + 1] != (orb,):
             continue
-        pos = sum(1 for o in occ if o < orb)
-        new = tuple(o for o in occ if o != orb)
+        new = occ[:pos] + occ[pos + 1:]
         out[new] = out.get(new, 0) + c * (-1) ** pos
     return out
 
@@ -149,16 +154,26 @@ def dense_diagonal_ergodicity(h, signs: np.ndarray, tol: float = 1e-10) -> dict:
 # per-state operator assembly -------------------------------------------------
 #
 # The package applies each operator string to the whole packed basis at once.
-# This is the per-state loop it replaced, over the ``BasisState`` view, with
+# This is the per-state loop it replaced, over plain row tuples, with
 # occupations packed in spin-orbital order and a dictionary index of the
 # codomain.
 
-def _orbital_occ(s, n_sites: int, species_count: int) -> int:
+def basis_rows(basis) -> list[tuple]:
+    """Every basis state as an (up, dn, fup, fdn, ph) tuple, in row order
+    (electron states major, phonon occupations minor, site 0 most significant)."""
+    from edspin.fock import unpack
+    n, n_max = basis.n_sites, basis.subspace.n_max
+    phonons = [()] if n_max is None else list(product(range(n_max + 1), repeat=n))
+    masks = [m.tolist() for m in unpack(basis.words, n, basis.species_count)]
+    pad = (0,) * (4 - len(masks))
+    return [(*fields, *pad, ph) for fields in zip(*masks) for ph in phonons]
+
+
+def _orbital_occ(row, n_sites: int, species_count: int) -> int:
     """Occupation integer with bit 2x+s (one species) or 4x+2sp+s (two)."""
     occ = 0
-    fields = (s.up, s.dn, s.fup, s.fdn)[:2 * species_count]
     for x in range(n_sites):
-        for f, mask in enumerate(fields):
+        for f, mask in enumerate(row[:2 * species_count]):
             occ |= ((mask >> x) & 1) << (2 * species_count * x + f)
     return occ
 
@@ -194,16 +209,16 @@ def reference_assemble(codomain, domain, terms, hermitian=False, dtype=float):
                       format="csr").astype(dtype, copy=False)
         return SparseOperator(mat, domain, codomain, hermitian)
     n, spc = domain.n_sites, domain.species_count
-    index = {s.sort_key(): i for i, s in enumerate(codomain.states)}
+    index = {r: i for i, r in enumerate(basis_rows(codomain))}
     rows, cols, vals = [], [], []
-    for j, s in enumerate(domain.states):
-        occ = _orbital_occ(s, n, spc)
+    for j, r in enumerate(basis_rows(domain)):
+        occ = _orbital_occ(r, n, spc)
         for coeff, ops in terms:
             res = _apply_string(occ, ops)
             if res is None:
                 continue
             target, sign = res
-            i = index.get(_state_key(target, n, spc, s.ph))
+            i = index.get(_state_key(target, n, spc, r[4]))
             if i is None:
                 continue
             rows.append(i)
@@ -217,8 +232,8 @@ def reference_assemble(codomain, domain, terms, hermitian=False, dtype=float):
 
 def reference_number_values(basis, species: int = 0) -> np.ndarray:
     out = np.zeros((basis.dim, basis.n_sites))
-    for i, s in enumerate(basis.states):
-        up, dn = (s.up, s.dn) if species == 0 else (s.fup, s.fdn)
+    for i, r in enumerate(basis_rows(basis)):
+        up, dn = r[2 * species:2 * species + 2]
         for x in range(basis.n_sites):
             out[i, x] = ((up >> x) & 1) + ((dn >> x) & 1)
     return out
@@ -226,9 +241,9 @@ def reference_number_values(basis, species: int = 0) -> np.ndarray:
 
 def reference_magnetization_values(basis) -> np.ndarray:
     out = np.zeros(basis.dim)
-    for i, s in enumerate(basis.states):
-        out[i] = 0.5 * (s.up.bit_count() - s.dn.bit_count()
-                        + s.fup.bit_count() - s.fdn.bit_count())
+    for i, (up, dn, fup, fdn, _) in enumerate(basis_rows(basis)):
+        out[i] = 0.5 * (up.bit_count() - dn.bit_count()
+                        + fup.bit_count() - fdn.bit_count())
     return out
 
 
@@ -242,8 +257,8 @@ def reference_spin_op(basis, x: int, i: int, species: int = 0):
     """Matrix of one site's spin component."""
     if i == 3:
         vals = np.zeros(basis.dim)
-        for k, s in enumerate(basis.states):
-            up, dn = (s.up, s.dn) if species == 0 else (s.fup, s.fdn)
+        for k, r in enumerate(basis_rows(basis)):
+            up, dn = r[2 * species:2 * species + 2]
             vals[k] = 0.5 * (((up >> x) & 1) - ((dn >> x) & 1))
         return sp.diags(vals, format="csr")
     raise_, lower = _raise_lower(x, species, basis.species_count)
@@ -257,37 +272,100 @@ def reference_hole_particle(basis, part_a, part_b):
     """``operators.hole_particle`` with per-state parity corrections."""
     n = basis.n_sites
     corrected = part_a if n % 2 == 0 else part_b
+    rows = basis_rows(basis)
     w = sp.identity(basis.dim, format="csr")
     for x in range(n):
         orb = 2 * x + 1
         w = w @ reference_assemble(basis, basis, [(1.0, ((False, orb),)),
                                                   (1.0, ((True, orb),))]).matrix
     for z in corrected:
-        vals = np.array([1.0 - 2.0 * ((s.dn >> z) & 1) for s in basis.states])
+        vals = np.array([1.0 - 2.0 * ((r[1] >> z) & 1) for r in rows])
         w = sp.diags(vals, format="csr") @ w
     if n % 2:
-        vals = np.array([1.0 - 2.0 * (s.up.bit_count() & 1) for s in basis.states])
+        vals = np.array([1.0 - 2.0 * (r[0].bit_count() & 1) for r in rows])
         w = sp.diags(vals, format="csr") @ w
     return w.tocsr()
 
 
 # distinguished-sign tables ---------------------------------------------------
 #
-# The package reads the MLM signs off the up masks in one array expression.
-# This is the per-state construction it replaced: each signed |X, Xbar>
-# vector built by explicit operator application, which must give back the
-# basis state of its row.
+# The package reads every sign table off the packed words in closed form.
+# These build each row's signed vector symbolically (``interleaved_cons``,
+# ``one_hole_vector``), require it to be the basis state of that row, and
+# count the up/down reorder parity pair by pair.
+
+def _sites(mask: int) -> set:
+    return {x for x in range(mask.bit_length()) if (mask >> x) & 1}
+
+
+def _row_coefficient(vector: dict, row, n_sites: int, species_count: int) -> int:
+    """The coefficient of a one-term symbolic vector, which must be the basis
+    state of ``row``."""
+    [(orbitals, coeff)] = vector.items()
+    occ = sum(1 << o for o in orbitals)
+    assert _state_key(occ, n_sites, species_count, row[4]) == row
+    return coeff
+
+
+def _psd_sign(n_sites: int, part2: set, x_set: set, y_set: set, row,
+              species_count: int) -> int:
+    """Construction sign of the (X, Y) vector, times (-1)^#{x in X, y in Y:
+    x > y} and (-1)^(k(k-1)/2), k = |X|."""
+    pairs = sum(1 for a in x_set for b in y_set if a > b)
+    k = len(x_set)
+    cons = interleaved_cons(n_sites * species_count, part2, x_set, y_set)
+    return (_row_coefficient(cons, row, n_sites, species_count)
+            * (-1) ** (pairs + k * (k - 1) // 2))
+
+
+def _part_b(basis) -> set:
+    from edspin.lattice import bipartition
+    return set(bipartition(basis.graph).part_b)
+
 
 def reference_mlm_sign_table(basis, part_b_mask: int | None = None) -> list[int]:
-    """``fock.mlm_sign_table`` one state at a time, through ``cons_vector``."""
-    from edspin.fock import cons_vector, pack
+    """``fock.mlm_sign_table``: the |X, Xbar> vector of every row, X its up set."""
+    n = basis.n_sites
+    b_set = _part_b(basis) if part_b_mask is None else _sites(part_b_mask)
+    return [_row_coefficient(interleaved_cons(n, b_set, _sites(r[0]), _sites(r[0])),
+                             r, n, 1)
+            for r in basis_rows(basis)]
+
+
+def reference_nt_sign_table(basis) -> list[int]:
+    """``fock.nt_sign_table``: the one-hole |sigma> vector of every row."""
+    n = basis.n_sites
+    signs = []
+    for r in basis_rows(basis):
+        sigma = tuple(1 if (r[0] >> x) & 1 else -1 if (r[1] >> x) & 1 else 0
+                      for x in range(n))
+        signs.append(_row_coefficient(one_hole_vector(n, sigma), r, n, 1))
+    return signs
+
+
+def reference_hubbard_sign_table(basis) -> list[int]:
+    """``fock.hubbard_sign_table``: label (X, Y) = (up set, complement of the
+    down set) of every row of a half-filled basis."""
+    n = basis.n_sites
+    b_set = _part_b(basis)
+    return [_psd_sign(n, b_set, _sites(r[0]), set(range(n)) - _sites(r[1]), r, 1)
+            for r in basis_rows(basis)]
+
+
+def reference_kondo_sign_table(basis, coupling_sign: str) -> list[int]:
+    """``fock.kondo_sign_table``: the same decoration on the 2n doubled sites
+    2x + species, with part 2 = B-conduction plus A-localized (``"af"``) or
+    B-localized (``"f"``)."""
     from edspin.lattice import bipartition
     n = basis.n_sites
-    if part_b_mask is None:
-        part_b_mask = bipartition(basis.graph).b_mask()
+    bp = bipartition(basis.graph)
+    localized = bp.part_a if coupling_sign == "af" else bp.part_b
+    part2 = {2 * x for x in bp.part_b} | {2 * x + 1 for x in localized}
     signs = []
-    for up, dn in zip(*(f.tolist() for f in basis.fields())):
-        occ, sign = cons_vector(n, part_b_mask, up, up)
-        assert occ == pack((up, dn), n)
-        signs.append(sign)
+    for r in basis_rows(basis):
+        up, dn, fup, fdn, _ = r
+        u = {2 * x for x in _sites(up)} | {2 * x + 1 for x in _sites(fup)}
+        v = ({2 * x for x in range(n) if not (dn >> x) & 1}
+             | {2 * x + 1 for x in range(n) if not (fdn >> x) & 1})
+        signs.append(_psd_sign(n, part2, u, v, r, 2))
     return signs

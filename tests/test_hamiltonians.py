@@ -69,11 +69,12 @@ def test_nt_block_matches_config_graph():
         b = nt_cone(basis).conjugate_matrix(h)
         cg = nt_config_graph(g, tm / 2)
 
-        def sigma_of(s):
-            return tuple(1 if (s.up >> x) & 1 else (-1 if (s.dn >> x) & 1 else 0)
+        def sigma_of(up, dn):
+            return tuple(1 if (up >> x) & 1 else (-1 if (dn >> x) & 1 else 0)
                          for x in range(g.vertex_count))
 
-        perm = [cg.index[sigma_of(s)] for s in basis.states]
+        perm = [cg.index[sigma_of(up, dn)]
+                for up, dn in zip(*(f.tolist() for f in basis.fields()))]
         adj = np.zeros_like(b)
         for i, j in cg.edges:
             adj[i, j] = adj[j, i] = 1.0

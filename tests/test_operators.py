@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from edspin.fock import (BasisState, SubspaceKind, enumerate_sector,
+from edspin.fock import (SubspaceKind, enumerate_sector, pack,
                          sector_twice_m_values)
 from edspin.hamiltonians import ModelSpec, build
 from edspin.lattice import bipartition, grid_graph, path_graph, star_graph
@@ -12,7 +12,9 @@ from edspin.operators import (SparseOperator, annihilation_matrix, coulomb,
                               heisenberg_bond, hole_particle, hopping,
                               ladder_ops, magnetization_values,
                               nesting_projection, phonon_ops, spin_dot,
-                              spin_op, total_spin_squared, uniform_rest_vector)
+                              spin_op, total_spin_squared)
+
+from oracles import basis_rows
 
 
 def single_site_basis():
@@ -49,8 +51,7 @@ def test_total_spin_squared_two_site():
     # singlet expectation
     m0 = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy(), m=0)
     s2m = total_spin_squared(m0).dense()
-    up_dn = m0.index_of(BasisState(0b01, 0b10))
-    dn_up = m0.index_of(BasisState(0b10, 0b01))
+    up_dn, dn_up = m0.lookup(pack((np.uint64([0b01, 0b10]), np.uint64([0b10, 0b01])), 2))
     singlet = np.zeros(2)
     singlet[up_dn], singlet[dn_up] = 1, -1
     singlet /= np.sqrt(2)
@@ -94,10 +95,10 @@ def test_electron_basis_drops_phonon_occupancies():
     basis = enumerate_sector(g, SubspaceKind.one_hole(n_max=2), m=0.5)
     elec = electron_basis(basis)
     bare = enumerate_sector(g, SubspaceKind.one_hole(), m=0.5)
-    assert all(s.ph == () for s in elec.states)
-    assert elec.states == bare.states
+    assert all(r[4] == () for r in basis_rows(elec))
+    assert basis_rows(elec) == basis_rows(bare)
     # so a freshly enumerated electron sector finds every one of its states
-    assert all(bare.index_of(s) == i for i, s in enumerate(elec.states))
+    assert np.array_equal(bare.lookup(elec.words), np.arange(elec.dim))
 
 
 def test_ladder_examples():
@@ -137,8 +138,9 @@ def test_hopping_examples():
     # half-filled M=0: hopping connects doubly occupied and singly occupied states
     b4 = enumerate_sector(g, SubspaceKind.full(2), m=0)
     h4 = hopping(b4, t).dense()
-    doubles = [i for i, s in enumerate(b4.states) if s.up & s.dn]
-    singles = [i for i, s in enumerate(b4.states) if not (s.up & s.dn)]
+    up, dn = b4.fields()
+    doubles = np.flatnonzero(up & dn)
+    singles = np.flatnonzero((up & dn) == 0)
     assert np.allclose(h4[np.ix_(singles, singles)], 0)
     assert np.allclose(h4[np.ix_(doubles, doubles)], 0)
     assert np.abs(h4[np.ix_(doubles, singles)]).max() == 1.0
@@ -171,8 +173,8 @@ def test_gutzwiller():
     p = gutzwiller(basis).dense()
     assert np.allclose(p @ p, p)
     assert int(round(np.trace(p))) == 4 and basis.dim == 6
-    for i, s in enumerate(basis.states):
-        assert p[i, i] == (0.0 if s.up & s.dn else 1.0)
+    up, dn = basis.fields()
+    assert np.array_equal(np.diag(p), np.where(up & dn, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -190,8 +192,9 @@ def test_hole_particle_identities(k):
         cup = annihilation_matrix(fb, fb, x, 0).dense()
         assert np.abs(w @ cup @ w.T - cup).max() < 1e-14
     s3 = np.diag(magnetization_values(fb))
-    half_n = np.diag([(s.up.bit_count() + s.dn.bit_count() - k) / 2
-                      for s in fb.states])
+    up, dn = fb.fields()
+    n_el = np.bitwise_count(up).astype(int) + np.bitwise_count(dn)
+    half_n = np.diag((n_el - k) / 2)
     assert np.abs(w @ s3 @ w.T - half_n).max() < 1e-14
 
 
@@ -199,14 +202,12 @@ def test_hole_particle_image_of_single_occupancy():
     g = path_graph(2)
     fb = full_fock_basis(g)
     w = hole_particle(fb).matrix
-    for s in enumerate_sector(g, SubspaceKind.single_occupancy()).states:
-        j = fb.index_of(s)
+    fb_up, fb_dn = fb.fields()
+    for j in fb.lookup(enumerate_sector(g, SubspaceKind.single_occupancy()).words):
         image = w[:, [j]].toarray().ravel()
-        (i,) = np.nonzero(image)[0:1][0].ravel(),
         i = int(np.nonzero(image)[0][0])
-        target = fb.states[i]
         for x in range(2):
-            n_x = ((target.up >> x) & 1) + ((target.dn >> x) & 1)
+            n_x = ((fb_up[i] >> x) & 1) + ((fb_dn[i] >> x) & 1)
             assert n_x in (0, 2)
 
 
