@@ -188,6 +188,10 @@ def _human_table(report: dict) -> str:
         lines.append(f"{'M':>6} {'dim':>7} {'E0':>16} {'mult':>5} "
                      f"{'ergodicity':>20} {'margin':>11} {'bound':>9}")
         for s in report["sectors"]:
+            if "implied" in s:
+                lines.append(f"{s['M']:>6} {s['dim']:>7} {'implied':>16} {'-':>5} "
+                             f"{'-':>20} {'-':>11} {'-':>9}")
+                continue
             erg = s.get("ergodicity", {}).get("verdict", "-")
             margin = s.get("strict_positivity_margin")
             bound = s.get("strict_positivity_bound")

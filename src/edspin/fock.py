@@ -382,8 +382,11 @@ def kondo_part2_mask(g: Graph, coupling_sign: str) -> int:
     """Doubled-site mask of the second bipartition part for the given coupling.
 
     Antiferromagnetic (J > 0): part2 = B-conduction + A-localized;
-    ferromagnetic (J < 0): part2 = B-conduction + B-localized.
+    ferromagnetic (J < 0): part2 = B-conduction + B-localized.  Any sign
+    other than "af" or "f" raises ``ValueError``.
     """
+    if coupling_sign not in ("af", "f"):
+        raise ValueError(f"coupling sign {coupling_sign!r} is neither 'af' nor 'f'")
     bp = bipartition(g)
     if bp is None:
         raise ValueError("graph is not bipartite")

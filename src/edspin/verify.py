@@ -1,17 +1,40 @@
 """Theorem-level harness: build, validate, diagonalize, cone checks, report.
 
 Each verify entry point asserts the exact finite-volume statement for its
-model class: predicted ground-state total spin, multiplet degeneracy,
-per-sector uniqueness and strict cone positivity, and per-sector semigroup
-ergodicity.  Everything is checked at finite volume with pinned tolerances;
-nothing is fitted or extrapolated.
+model class: predicted ground-state total spin S, multiplet degeneracy
+2S+1, and a unique, strictly cone-positive, ergodic ground vector.
+Everything is checked at finite volume with pinned tolerances; nothing is
+fitted or extrapolated.
 
-A ground sector's strict positivity in a diagonal cone is decided by the
-certified Perron-Frobenius margin of ``cones.strict_positivity``, from the
-sector operator and its solved ground space, so no fixed tolerance meets the
-tiny coefficients of large sectors; each sector report carries the margin,
-the refinement steps and the accuracy bound the decision relied on.  PSD
-cones and the Kondo projected vectors keep the raw test against
+Every model here commutes with total spin, so the SU(2) multiplets fix
+which sectors a verdict needs (Lieb & Mattis, J. Math. Phys. 3, 749
+(1962)).  Sector M holds one vector of each multiplet with S >= |M|, so its
+lowest energy E_min(M) never falls as |M| grows, and spin flip gives sector
+-M the spectrum of sector M.  ``verify`` therefore solves at most three
+sectors:
+
+- the lowest |M| (0 or 1/2), which holds one vector of every multiplet:
+  its lowest energy is E0, and the S^2 eigenvalues on its ground cluster
+  give the degeneracy sum(2S_i + 1) exactly.  It gets the uniqueness, S^2,
+  ergodicity and strict-positivity checks;
+- M = S for the predicted S: its lowest energy must be E0, it gets the same
+  cone checks, and its ground vector must be a highest-weight vector,
+  |S+ psi| within (N_e/2 + 1)(2 max(residual)/gap + roundoff) of 0, where
+  N_e/2 + 1 bounds |S+| and 2 max(residual)/gap bounds the solved vector's
+  distance from the true one (Davis & Kahan, SIAM J. Numer. Anal. 7, 1
+  (1970));
+- M = S + 1, when that sector exists: its lowest energy must lie strictly
+  above E0.  Its cone checks are not needed and are not made.
+
+Every other sector is reported as implied, with its dimension and the
+reason, and nothing is computed for it.
+
+A sector's strict positivity in a diagonal cone is decided by the certified
+Perron-Frobenius margin of ``cones.strict_positivity``, from the sector
+operator and its solved ground space, so no fixed tolerance meets the tiny
+coefficients of large sectors; each sector report carries the margin, the
+refinement steps and the accuracy bound the decision relied on.  PSD cones
+and the Kondo projected vectors keep the raw test against
 ``cones.STRICT_TOL``.
 """
 
@@ -30,9 +53,13 @@ from .lattice import Graph, LatticeFamily, relabel, sublattice_imbalance
 from .spectra import DEGENERACY_TOL, SolverStats, ground_space, total_spin_of
 
 ENERGY_EQUALITY_RTOL = 1e-8
-LADDER_CLOSURE_RTOL = 1e-7
-LADDER_DIM_LIMIT = 200_000
 SCAN_DIM_LIMIT = 100_000
+
+# roles of the solved sectors
+LOWEST = "lowest |M|"
+AT_S = "M = S"
+ABOVE_S = "M = S + 1"
+TRUNCATION_NOTE = "cone-not-defined-under-truncation"
 
 
 class ValidationFailure(RuntimeError):
@@ -46,8 +73,11 @@ class ValidationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SectorReport:
+    """A solved sector and the checks its ``roles`` in the schedule ask for."""
+
     twice_m: int
     dim: int
+    roles: tuple[str, ...]
     e0: float
     multiplicity: int
     gap: float
@@ -56,14 +86,16 @@ class SectorReport:
     twice_s: int | None
     solver: SolverStats
     note: str | None = None
+    highest_weight_norm: float | None = None
+    highest_weight_bound: float | None = None
 
     @property
     def strict_margin(self) -> float | None:
         return None if self.strictness is None else self.strictness.margin
 
     def to_dict(self) -> dict:
-        d = {"M": self.twice_m / 2, "dim": self.dim, "E0": self.e0,
-             "multiplicity": self.multiplicity, "gap": self.gap,
+        d = {"M": self.twice_m / 2, "dim": self.dim, "role": ", ".join(self.roles),
+             "E0": self.e0, "multiplicity": self.multiplicity, "gap": self.gap,
              "solver": dataclasses.asdict(self.solver)}
         if self.ergodicity is not None:
             d["ergodicity"] = self.ergodicity.to_dict()
@@ -71,6 +103,9 @@ class SectorReport:
             d["strict_positivity_margin"] = self.strictness.margin
             d["strict_positivity_steps"] = self.strictness.steps
             d["strict_positivity_bound"] = self.strictness.bound
+        if self.highest_weight_norm is not None:
+            d["highest_weight_norm"] = self.highest_weight_norm
+            d["highest_weight_bound"] = self.highest_weight_bound
         if self.twice_s is not None:
             d["S"] = self.twice_s / 2
         if self.note:
@@ -79,9 +114,21 @@ class SectorReport:
 
 
 @dataclass(frozen=True)
+class ImpliedSector:
+    """A sector the SU(2) argument settles without solving it."""
+
+    twice_m: int
+    dim: int
+    reason: str
+
+    def to_dict(self) -> dict:
+        return {"M": self.twice_m / 2, "dim": self.dim, "implied": self.reason}
+
+
+@dataclass(frozen=True)
 class GroundStateReport:
     model: dict
-    sectors: tuple[SectorReport, ...]
+    sectors: tuple[SectorReport | ImpliedSector, ...]   # solved first, then implied
     e0: float
     degeneracy: int
     twice_s_computed: int | None
@@ -96,6 +143,10 @@ class GroundStateReport:
     @property
     def ok(self) -> bool:
         return self.verdict in ("pass", "consequence-verified-pass")
+
+    @property
+    def solved(self) -> tuple[SectorReport, ...]:
+        return tuple(s for s in self.sectors if isinstance(s, SectorReport))
 
     def to_dict(self) -> dict:
         return {
@@ -130,7 +181,7 @@ def _model_echo(spec: ModelSpec) -> dict:
 def _sector_cone(spec: ModelSpec, basis: SectorBasis):
     """The cone attached to a sector, or (None, note) when truncation forbids one."""
     if spec.has_phonons:
-        return None, "cone-not-defined-under-truncation"
+        return None, TRUNCATION_NOTE
     if spec.model in ("mlm", "heisenberg"):
         return cn.mlm_cone(basis), None
     if spec.model == "hubbard":
@@ -140,7 +191,7 @@ def _sector_cone(spec: ModelSpec, basis: SectorBasis):
     if spec.model == "kondo":
         sign = "af" if (spec.j_kondo or 0) > 0 else "f"
         return cn.kondo_cone(basis, sign), None
-    return None, "cone-not-defined-under-truncation"
+    return None, TRUNCATION_NOTE
 
 
 def predicted_twice_spin(spec: ModelSpec) -> int:
@@ -156,14 +207,45 @@ def predicted_twice_spin(spec: ModelSpec) -> int:
     return sublattice_imbalance(g_f)
 
 
+def _lowest_twice_m(spec: ModelSpec) -> int:
+    """Twice the smallest nonnegative M: 0 or 1."""
+    return min(tm for tm in spec.sector_values() if tm >= 0)
+
+
+def _sector_size(spec: ModelSpec, tm: int) -> int:
+    """Dimension of a sector, phonon factor included, without enumerating it."""
+    g = spec.graph
+    phonon_dim = (spec.n_max + 1) ** g.vertex_count if spec.has_phonons else 1
+    return phonon_dim * sector_dimension(g, spec.subspace(), tm / 2)
+
+
+def _sector_schedule(spec: ModelSpec, twice_s: int):
+    """The sectors solved for the prediction 2S = ``twice_s``, each with its
+    roles, and every other sector as an ``ImpliedSector``."""
+    values = spec.sector_values()
+    roles = {_lowest_twice_m(spec): [LOWEST]}
+    if twice_s >= 0 and twice_s in values:
+        roles.setdefault(twice_s, []).append(AT_S)
+        if twice_s + 2 in values:
+            roles[twice_s + 2] = [ABOVE_S]
+    implied = []
+    for tm in values:
+        if tm in roles:
+            continue
+        if -tm in roles:
+            reason = f"spin flip of M={-tm / 2}"
+        elif abs(tm) <= twice_s:
+            reason = "SU(2): |M| <= S, so E_min = E0"
+        else:
+            reason = "SU(2): |M| > S + 1, so E_min >= E_min(S + 1) > E0"
+        implied.append(ImpliedSector(tm, _sector_size(spec, tm), reason))
+    return [(tm, tuple(r)) for tm, r in roles.items()], implied
+
+
 def _solve_sector(spec: ModelSpec, tm: int, seed: int):
-    """``(twice_m, h, ground)`` of one sector; its basis is ``h.domain``."""
+    """``(h, ground)`` of one sector; its basis is ``h.domain``."""
     h = build(spec, tm / 2)
-    return tm, h, ground_space(h.matrix, seed=seed)
-
-
-def _solve_all_sectors(spec: ModelSpec, seed: int):
-    return [_solve_sector(spec, tm, seed) for tm in spec.sector_values()]
+    return h, ground_space(h.matrix, seed=seed)
 
 
 def _at_ground(energy: float, e0: float) -> bool:
@@ -171,68 +253,77 @@ def _at_ground(energy: float, e0: float) -> bool:
     return abs(energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0))
 
 
-def _sector_spin(h, gs) -> int:
-    """Twice the total spin of a solved sector's ground vector (raises
-    ``ValueError`` unless it is an S^2 eigenvector)."""
-    s2 = ops.total_spin_squared(h.domain)
-    return total_spin_of(gs.vectors[:, 0], s2.matrix)[0]
+def _ground_multiplets(h, gs) -> list[int]:
+    """Twice the total spin of each multiplet on a solved sector's ground
+    cluster, ascending: the cluster is rotated to diagonalize S^2 on it, and
+    each rotated vector must be an S^2 eigenvector (``ValueError``)."""
+    s2 = ops.total_spin_squared(h.domain).matrix
+    v = gs.vectors
+    if gs.multiplicity > 1:
+        v = v @ np.linalg.eigh(v.conj().T @ (s2 @ v))[1]
+    return [total_spin_of(v[:, i], s2)[0] for i in range(v.shape[1])]
 
 
-def _ground_summary(solved) -> tuple[float, int, int]:
-    """E0, ground degeneracy summed over the sectors at E0, and the 2S of
-    the first of them."""
-    e0 = min(gs.energy for _, _, gs in solved)
-    ground = [(h, gs) for _, h, gs in solved if _at_ground(gs.energy, e0)]
-    return e0, sum(gs.multiplicity for _, gs in ground), _sector_spin(*ground[0])
+def _ground_summary(spec: ModelSpec, seed: int) -> tuple[float, int, int]:
+    """E0, degeneracy and the largest 2S on the ground level, from the
+    lowest-|M| sector alone, which holds one vector of each multiplet."""
+    h, gs = _solve_sector(spec, _lowest_twice_m(spec), seed)
+    spins = _ground_multiplets(h, gs)
+    return gs.energy, sum(s + 1 for s in spins), max(spins)
 
 
-def _ladder_closure(solved, e0: float, failures: list[str]) -> None:
-    by_tm = {tm: (h, gs) for tm, h, gs in solved}
-    for tm, (h, gs) in sorted(by_tm.items()):
-        if not _at_ground(gs.energy, e0) or tm + 2 not in by_tm:
-            continue
-        h_up, gs_up = by_tm[tm + 2]
-        if not _at_ground(gs_up.energy, e0):
-            continue
-        if h.domain.dim + h_up.domain.dim > LADDER_DIM_LIMIT:
-            continue
-        splus = ops.ladder_ops(h.domain, h_up.domain)
-        psi = gs.vectors[:, 0]
-        image = splus.matrix @ psi
-        nrm = np.linalg.norm(image)
-        if nrm < 1e-12:
-            continue
-        resid = np.linalg.norm(h_up.matrix @ image - e0 * image)
-        if resid > LADDER_CLOSURE_RTOL * nrm:
-            failures.append(
-                f"ladder closure violated from sector M={tm}/2 (residual {resid:.3e})")
+def _highest_weight(h, gs, basis_up) -> tuple[float, float]:
+    """|S+ psi| of the sector's ground vector and the bound that certifies
+    S+ psi = 0; ``basis_up`` is the sector one unit of M above, or None."""
+    psi = gs.vectors[:, 0]
+    scale = h.domain.n_electrons / 2 + 1           # bounds |S+| on any sector
+    distance = 2 * max(gs.residuals) / gs.gap if np.isfinite(gs.gap) else 0.0
+    if basis_up is None:
+        return 0.0, scale * distance
+    splus = ops.ladder_ops(h.domain, basis_up).matrix
+    # each entry of S+ psi sums at most (row length) terms
+    roundoff = max(1, int(np.diff(splus.indptr).max())) * np.finfo(float).eps
+    return float(np.linalg.norm(splus @ psi)), scale * (distance + roundoff)
 
 
-def _report(spec: ModelSpec, solved, validation: ValidationReport,
+def _report(spec: ModelSpec, solved, implied, validation: ValidationReport,
             expected_twice_s: int, start: float) -> GroundStateReport:
     failures: list[str] = []
-    e0 = min(gs.energy for _, _, gs in solved)
-    degeneracy = 0
-    twice_s_seen: set[int] = set()
+    tm0, _, h0, gs0 = solved[0]
+    e0 = gs0.energy
+    twice_s, degeneracy = None, gs0.multiplicity
+    try:
+        spins = _ground_multiplets(h0, gs0)
+        twice_s, degeneracy = max(spins), sum(s + 1 for s in spins)
+        if len(set(spins)) > 1:
+            failures.append(f"ground multiplets disagree on total spin: {spins}")
+    except ValueError as exc:
+        failures.append(f"sector M={tm0}/2: {exc}")
+    if AT_S not in {r for _, roles, _, _ in solved for r in roles}:
+        failures.append(f"predicted S={expected_twice_s / 2} names no sector M=S")
+    basis_above = next((h.domain for _, roles, h, _ in solved if ABOVE_S in roles), None)
     sector_reports = []
     consequence_mode = False
-    for tm, h, gs in solved:
+    for tm, roles, h, gs in solved:
         basis = h.domain
-        ground_here = _at_ground(gs.energy, e0)
-        cone, note = _sector_cone(spec, basis)
-        erg = None
-        strict = None
-        twice_s = None
-        if ground_here:
-            degeneracy += gs.multiplicity
-            try:
-                twice_s = _sector_spin(h, gs)
-                twice_s_seen.add(twice_s)
-            except ValueError as exc:
-                failures.append(f"sector M={tm}/2: {exc}")
-            if gs.multiplicity != 1:
-                failures.append(f"sector M={tm}/2: ground state degenerate "
-                                f"within the sector (multiplicity {gs.multiplicity})")
+        checked = ABOVE_S not in roles          # M = S + 1 needs only its energy
+        erg = strict = hw_norm = hw_bound = None
+        cone, note = (_sector_cone(spec, basis) if checked or spec.has_phonons
+                      else (None, None))
+        if not checked and (gs.energy < e0 or _at_ground(gs.energy, e0)):
+            failures.append(f"sector M={tm}/2 ({ABOVE_S}): E_min {gs.energy:.12g} "
+                            f"is not above E0 {e0:.12g}")
+        if AT_S in roles:
+            if not _at_ground(gs.energy, e0):
+                failures.append(f"sector M={tm}/2 ({AT_S}): E_min {gs.energy:.12g} "
+                                f"is not E0 {e0:.12g}")
+            hw_norm, hw_bound = _highest_weight(h, gs, basis_above)
+            if hw_norm > hw_bound:
+                failures.append(f"sector M={tm}/2 ({AT_S}): ground vector not highest "
+                                f"weight (|S+ psi| {hw_norm:.3e} > bound {hw_bound:.3e})")
+        if checked and gs.multiplicity != 1:
+            failures.append(f"sector M={tm}/2: ground state degenerate "
+                            f"within the sector (multiplicity {gs.multiplicity})")
         if cone is not None:
             erg = cn.ergodicity(h.matrix, cone, ground=gs)
             if isinstance(cone, cn.PSDMatrixCone):
@@ -240,19 +331,15 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
             if not erg.ok:
                 failures.append(f"sector M={tm}/2: ergodicity verdict {erg.verdict}"
                                 f" ({erg.witness})")
-            if ground_here:
-                psi = cn.gauge_fix(gs.vectors[:, 0], cone)
-                strict = cn.strict_positivity(psi, cone, h=h.matrix, ground=gs,
-                                              ergodic=erg)
-                if not strict.ok:
-                    failures.append(f"sector M={tm}/2: ground vector not strictly "
-                                    f"positive (margin {strict.margin:.3e})")
-        sector_reports.append(SectorReport(tm, basis.dim, gs.energy, gs.multiplicity,
-                                           gs.gap, erg, strict, twice_s,
-                                           gs.solver, note))
-    if len(twice_s_seen) > 1:
-        failures.append(f"ground sectors disagree on total spin: {sorted(twice_s_seen)}")
-    twice_s = twice_s_seen.pop() if len(twice_s_seen) == 1 else None
+            psi = cn.gauge_fix(gs.vectors[:, 0], cone)
+            strict = cn.strict_positivity(psi, cone, h=h.matrix, ground=gs,
+                                          ergodic=erg)
+            if not strict.ok:
+                failures.append(f"sector M={tm}/2: ground vector not strictly "
+                                f"positive (margin {strict.margin:.3e})")
+        sector_reports.append(SectorReport(
+            tm, basis.dim, roles, gs.energy, gs.multiplicity, gs.gap, erg, strict,
+            twice_s if tm == tm0 else None, gs.solver, note, hw_norm, hw_bound))
     if twice_s is not None and twice_s != expected_twice_s:
         failures.append(f"total spin {twice_s / 2} differs from the predicted "
                         f"{expected_twice_s / 2}")
@@ -261,33 +348,38 @@ def _report(spec: ModelSpec, solved, validation: ValidationReport,
     if degeneracy != expected_twice_s + 1:
         failures.append(f"degeneracy {degeneracy} differs from the predicted "
                         f"{expected_twice_s + 1}")
-    _ladder_closure(solved, e0, failures)
     if failures:
         verdict = "fail"
     else:
         verdict = "consequence-verified-pass" if consequence_mode else "pass"
     tolerances = {"energy_equality_rtol": ENERGY_EQUALITY_RTOL,
+                  "sector_schedule": "SU(2): solve the lowest |M|, M=S and M=S+1 "
+                                     "for the predicted S; every other sector implied",
+                  "highest_weight": "|S+ psi| at M=S within (N_e/2+1)*"
+                                    "(2*residual/gap + roundoff)",
                   "diagonal_strictness": "perron-frobenius margin, within "
                                          "2*residual/gap of the solved vector",
                   "perron_rtol": cn.PERRON_RTOL,
                   "perron_max_steps": cn.PERRON_MAX_STEPS,
                   "strictness_tol": cn.STRICT_TOL,
-                  "ladder_closure_rtol": LADDER_CLOSURE_RTOL,
                   "degeneracy_tol": DEGENERACY_TOL}
-    return GroundStateReport(_model_echo(spec), tuple(sector_reports), e0, degeneracy,
-                             twice_s, expected_twice_s, verdict, tuple(failures),
-                             tolerances, validation, time.perf_counter() - start,
-                             tuple(validation.warnings))
+    return GroundStateReport(_model_echo(spec), tuple(sector_reports) + tuple(implied),
+                             e0, degeneracy, twice_s, expected_twice_s, verdict,
+                             tuple(failures), tolerances, validation,
+                             time.perf_counter() - start, tuple(validation.warnings))
 
 
 def _verify(spec: ModelSpec, seed: int) -> tuple[GroundStateReport, list]:
-    """The report and the solved sectors it was made from."""
+    """The report and the solved sectors ``(twice_m, roles, h, ground)`` it
+    was made from."""
     start = time.perf_counter()
     report = validate(spec)
     if not report.ok:
         raise ValidationFailure(report)
-    solved = _solve_all_sectors(spec, seed)
-    return _report(spec, solved, report, predicted_twice_spin(spec), start), solved
+    expected = predicted_twice_spin(spec)
+    schedule, implied = _sector_schedule(spec, expected)
+    solved = [(tm, roles, *_solve_sector(spec, tm, seed)) for tm, roles in schedule]
+    return _report(spec, solved, implied, report, expected, start), solved
 
 
 def verify_mlm_class(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
@@ -308,8 +400,8 @@ def verify_kondo(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
     """Localized-spin class: S = 0 for J > 0, doubled imbalance for J < 0.
 
     Besides the sector cone checks, the conduction-singly-occupied restriction
-    of each ground vector is checked strictly positive in the doubled-site
-    diagonal cone.
+    of the ground vector of each cone-checked sector at E0 is checked
+    strictly positive in the doubled-site diagonal cone.
     """
     if spec.model not in ("kondo", "kondo_holstein"):
         raise ValueError(f"{spec.model!r} is not a localized-spin model")
@@ -318,8 +410,8 @@ def verify_kondo(spec: ModelSpec, seed: int = 0) -> GroundStateReport:
         return report
     sign = "af" if (spec.j_kondo or 0) > 0 else "f"
     failures = []
-    for tm, h, gs in solved:
-        if not _at_ground(gs.energy, report.e0):
+    for tm, roles, h, gs in solved:
+        if ABOVE_S in roles or not _at_ground(gs.energy, report.e0):
             continue
         idx, cone = cn.kondo_diagonal_restriction(h.domain, sign)
         projected = cn.gauge_fix(gs.vectors[:, 0][idx], cone)
@@ -394,9 +486,9 @@ def verify_stability_pair(spec_a: ModelSpec, spec_b: ModelSpec,
         raise ValueError(f"unsupported stability pair {pair}")
     offset, project, make_cone = _STABILITY_PAIRS[pair]
     tm = ga.vertex_count % 2 + offset
-    _, h_a, gs_a = _solve_sector(spec_a, tm, seed)
-    _, h_b, gs_b = _solve_sector(spec_b, tm, seed)
-    sa, sb = _sector_spin(h_a, gs_a), _sector_spin(h_b, gs_b)
+    h_a, gs_a = _solve_sector(spec_a, tm, seed)
+    h_b, gs_b = _solve_sector(spec_b, tm, seed)
+    sa, sb = max(_ground_multiplets(h_a, gs_a)), max(_ground_multiplets(h_b, gs_b))
     cone = make_cone(h_b.domain)
     proj = project(h_a.domain, h_b.domain, gs_a.vectors[:, 0])
     overlap = float(np.real(np.vdot(cn.gauge_fix(proj, cone),
@@ -459,8 +551,9 @@ def magnetic_order_scan(family: LatticeFamily, make_spec, n_range,
                         dim_limit: int = SCAN_DIM_LIMIT, seed: int = 0) -> ScanReport:
     """Table of exact finite-volume total spins along a lattice family.
 
-    ``make_spec(graph) -> ModelSpec``; members whose largest sector exceeds
-    ``dim_limit`` are counted but not diagonalized (flagged).
+    ``make_spec(graph) -> ModelSpec``; members whose lowest-|M| sector, the
+    largest and the only one solved, exceeds ``dim_limit`` are counted but
+    not diagonalized (flagged).
     """
     rows = []
     ok = True
@@ -473,14 +566,11 @@ def magnetic_order_scan(family: LatticeFamily, make_spec, n_range,
         if not report.ok:
             raise ValidationFailure(report)
         predicted = predicted_twice_spin(spec)
-        phonon_dim = (spec.n_max + 1) ** g.vertex_count if spec.has_phonons else 1
-        largest = phonon_dim * max(sector_dimension(g, spec.subspace(), tm / 2)
-                                   for tm in spec.sector_values())
-        if largest > dim_limit:
+        if _sector_size(spec, _lowest_twice_m(spec)) > dim_limit:
             rows.append(ScanRow(n, g.vertex_count, sublattice_imbalance(g),
                                 predicted, None, True))
             continue
-        twice_s = _ground_summary(_solve_all_sectors(spec, seed))[2]
+        twice_s = _ground_summary(spec, seed)[2]
         rows.append(ScanRow(n, g.vertex_count, sublattice_imbalance(g),
                             predicted, twice_s, False))
         if twice_s != predicted:
@@ -524,7 +614,7 @@ def isomorphism_invariance(spec: ModelSpec, perm, seed: int = 0,
                            tol: float = 1e-9) -> InvarianceReport:
     """Ground energy, degeneracy and total spin agree under relabeling."""
     spec2 = permuted_spec(spec, perm)
-    (e0a, dega, sa), (e0b, degb, sb) = (_ground_summary(_solve_all_sectors(sp_, seed))
+    (e0a, dega, sa), (e0b, degb, sb) = (_ground_summary(sp_, seed)
                                         for sp_ in (spec, spec2))
     delta = abs(e0a - e0b)
     verdict = "pass" if (delta <= tol and dega == degb and sa == sb) else "fail"
@@ -533,7 +623,7 @@ def isomorphism_invariance(spec: ModelSpec, perm, seed: int = 0,
 
 def constancy_check(specs: list[ModelSpec], seed: int = 0) -> bool:
     """All specs (same lattice, same condition set) share the ground-state spin."""
-    spins = {_ground_summary(_solve_all_sectors(spec, seed))[2] for spec in specs}
+    spins = {_ground_summary(spec, seed)[2] for spec in specs}
     return len(spins) == 1
 
 
@@ -543,8 +633,7 @@ def cutoff_convergence(spec: ModelSpec, n_maxes, seed: int = 0):
         raise ValueError("cutoff sweep applies to phonon models only")
     out = []
     for n_max in n_maxes:
-        solved = _solve_all_sectors(dataclasses.replace(spec, n_max=n_max), seed)
-        e0, _, twice_s = _ground_summary(solved)
+        e0, _, twice_s = _ground_summary(dataclasses.replace(spec, n_max=n_max), seed)
         out.append((n_max, e0, twice_s))
     return out
 

@@ -5,7 +5,9 @@ package: states are dictionaries keyed by sorted orbital tuples, spin chains
 are built from Pauli kron products, and combinatorial counts come straight
 from binomials.  Of ``edspin.fock`` only sector enumeration and the packed
 word format are used (a test keeps it so); basis rows are read as plain
-(up, dn, fup, fdn, ph) tuples.
+(up, dn, fup, fdn, ph) tuples.  ``full_schedule_summary`` builds and solves
+sectors with the package, but solves every one of them and counts the
+ground level across sectors, without the SU(2) argument ``verify`` rests on.
 """
 
 from bisect import bisect_left
@@ -13,6 +15,10 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
+
+from edspin.hamiltonians import build
+from edspin.operators import total_spin_squared
+from edspin.spectra import ground_space, total_spin_of
 
 # symbolic second quantization ------------------------------------------------
 
@@ -369,3 +375,22 @@ def reference_kondo_sign_table(basis, coupling_sign: str) -> list[int]:
              | {2 * x + 1 for x in range(n) if not (fdn >> x) & 1})
         signs.append(_psd_sign(n, part2, u, v, r, 2))
     return signs
+
+
+# every sector solved ------------------------------------------------------------
+
+def full_schedule_summary(spec, seed: int = 0, rtol: float = 1e-8) -> tuple[float, int, int]:
+    """(E0, degeneracy, 2S) from every M sector of ``spec``: E0 is the least
+    sector ground energy, the degeneracy sums the ground multiplicities of
+    the sectors within ``rtol`` of it, and 2S is that of the ground vector of
+    the first of them in ascending M."""
+    solved = []
+    for tm in spec.sector_values():
+        h = build(spec, tm / 2)
+        solved.append((h, ground_space(h.matrix, seed=seed)))
+    e0 = min(gs.energy for _, gs in solved)
+    ground = [(h, gs) for h, gs in solved
+              if abs(gs.energy - e0) <= rtol * max(1.0, abs(e0))]
+    h, gs = ground[0]
+    twice_s = total_spin_of(gs.vectors[:, 0], total_spin_squared(h.domain))[0]
+    return e0, sum(g.multiplicity for _, g in ground), twice_s

@@ -27,6 +27,16 @@ def test_verify_table_shows_the_strictness_bound(capsys):
     assert all(len(row.split()) == len(header.split()) for row in rows)
 
 
+def test_verify_table_prints_implied_sectors(capsys):
+    """Sectors the SU(2) schedule does not solve get a row of their own."""
+    assert run(["verify", "--model", "mlm", "--lattice", "star:2"]) == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    implied = [line.split() for line in lines if "implied" in line]
+    assert sorted(float(row[0]) for row in implied) == [-2.0, -1.0]
+    assert all(len(row) == len(lines[1].split()) and row[2] == "implied"
+               for row in implied)
+
+
 def test_verify_nt_path_exits_validation(capsys):
     code = run(["verify", "--model", "hubbard_nt", "--lattice", "path:4"])
     assert code == EXIT_VALIDATION

@@ -165,6 +165,15 @@ def test_psd_sign_tables_refuse_other_bases():
             kondo_cone(basis, "f")
 
 
+def test_kondo_tables_refuse_unknown_coupling_signs():
+    basis = enumerate_sector(path_graph(2), SubspaceKind.kondo(), m=0)
+    for sign in ("xyz", "AF", "F", ""):
+        with pytest.raises(ValueError, match="neither 'af' nor 'f'"):
+            kondo_sign_table(basis, sign)
+        with pytest.raises(ValueError, match="neither 'af' nor 'f'"):
+            kondo_cone(basis, sign)
+
+
 def test_hubbard_table_restricts_to_mlm_on_diagonal():
     for g in (path_graph(2), star_graph(3), path_graph(4)):
         basis = enumerate_sector(g, SubspaceKind.full(g.vertex_count))

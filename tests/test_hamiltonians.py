@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from edspin.fock import SubspaceKind, enumerate_sector
 from edspin.hamiltonians import (ModelSpec, build, coupling_matrix,
@@ -202,6 +203,66 @@ def test_hamiltonians_commute_with_spin(model, kwargs):
             h_up = build(spec, tm / 2 + 1).matrix
             splus = ladder_ops(basis, basis_up).matrix
             assert abs(h_up @ splus - splus @ h.real).max() < 1e-10
+
+
+def _schedule_specs():
+    star, p2, p3, p4, g22 = (star_graph(3), path_graph(2), path_graph(3),
+                             path_graph(4), grid_graph(2, 2))
+
+    def phonons(g, n_max):
+        return dict(g_ep=0.5 * np.eye(g.vertex_count), omega=1.0, n_max=n_max)
+
+    yield "mlm star:3", ModelSpec("mlm", star)
+    yield "heisenberg path:4", ModelSpec("heisenberg", p4, j=nn(p4))
+    yield "hubbard path:4", ModelSpec("hubbard", p4, t=nn(p4), u=4.0 * np.eye(4))
+    yield "hubbard_nt grid:2x2", ModelSpec("hubbard_nt", g22, t=nn(g22))
+    for j_kondo in (1.0, -1.0):
+        yield f"kondo path:2 J={j_kondo:+g}", ModelSpec("kondo", p2, t=nn(p2),
+                                                      j_kondo=j_kondo)
+    yield "holstein_hubbard path:2", ModelSpec(
+        "holstein_hubbard", p2, t=nn(p2), u=4.0 * np.eye(2), **phonons(p2, 3))
+    yield "holstein_nt path:3", ModelSpec("holstein_nt", p3, t=nn(p3), **phonons(p3, 2))
+    yield "kondo_holstein path:2", ModelSpec(
+        "kondo_holstein", p2, t=nn(p2), j_kondo=1.0, **phonons(p2, 1))
+
+
+def _intertwining_excess(spec, extra=None):
+    """Largest |H_{M+1} S+ - S+ H_M| over every adjacent sector pair, relative
+    to the largest column sum of the sector Hamiltonians; ``extra(basis)``
+    adds a diagonal term to every H."""
+    tms = spec.sector_values()
+    worst = 0.0
+    for tm, tm_up in zip(tms, tms[1:]):
+        h, h_up = build(spec, tm / 2), build(spec, tm_up / 2)
+        mats = [op.matrix if extra is None else op.matrix + sp.diags(extra(op.domain))
+                for op in (h, h_up)]
+        splus = ladder_ops(h.domain, h_up.domain).matrix
+        diff = mats[1] @ splus - splus @ mats[0]
+        scale = max(abs(m).sum(axis=0).max() for m in mats)
+        worst = max(worst, abs(diff).max() / scale)
+    return worst
+
+
+@pytest.mark.parametrize("spec", [s for _, s in _schedule_specs()],
+                         ids=[name for name, _ in _schedule_specs()])
+def test_every_sector_pair_intertwines_with_s_plus(spec):
+    """H_{M+1} S+ = S+ H_M on every adjacent pair of sectors: the premise of
+    the SU(2) sector schedule of ``verify``."""
+    assert _intertwining_excess(spec) <= 1e-12
+
+
+def test_intertwining_check_sees_a_spin_dependent_term():
+    """A staggered field, sum_x (-1)^x S3_x, breaks SU(2); the check above
+    must see it."""
+    g = path_graph(4)
+
+    def staggered(basis):
+        up, dn = basis.fields()[:2]
+        return sum((-1) ** x * 0.5 * (((up >> x) & 1).astype(float)
+                                      - ((dn >> x) & 1).astype(float))
+                   for x in range(g.vertex_count))
+
+    assert _intertwining_excess(ModelSpec("heisenberg", g, j=nn(g)), staggered) > 1e-3
 
 
 def test_metzler_structure_heisenberg_and_nt():

@@ -13,8 +13,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 LAYERS = ("hamiltonians.validate", "hamiltonians.build", "spectra.ground_space",
           "spectra.total_spin_of", "fock.enumerate_sector",
-          "operators.total_spin_squared", "cones.build", "cones.ergodicity",
-          "cones.strict")
+          "operators.total_spin_squared", "operators.ladder_ops", "cones.build",
+          "cones.ergodicity", "cones.strict")
 
 
 def test_traced_verify_reaches_every_layer(monkeypatch):

@@ -6,15 +6,23 @@ import pytest
 from edspin.fock import enumerate_sector
 from edspin.hamiltonians import ModelSpec, build, coupling_matrix
 from edspin.lattice import LatticeFamily, grid_graph, path_graph, star_graph
-from edspin.verify import (ValidationFailure, constancy_check,
-                           cutoff_convergence, isomorphism_invariance,
-                           magnetic_order_scan, predicted_twice_spin,
-                           verify_kondo, verify_mlm_class, verify_nesting_pair,
-                           verify_nt_class, verify_stability_pair)
+from edspin.verify import (ABOVE_S, AT_S, LOWEST, ValidationFailure,
+                           constancy_check, cutoff_convergence,
+                           isomorphism_invariance, magnetic_order_scan,
+                           predicted_twice_spin, verify_kondo, verify_mlm_class,
+                           verify_nesting_pair, verify_nt_class,
+                           verify_stability_pair)
+
+from oracles import full_schedule_summary
 
 
 def nn(g):
     return coupling_matrix(g, 1.0, "nn")
+
+
+def cone_checked(report):
+    """The solved sectors that get cone checks: all but M = S + 1."""
+    return [s for s in report.solved if ABOVE_S not in s.roles]
 
 
 def test_verify_mlm_star():
@@ -23,11 +31,15 @@ def test_verify_mlm_star():
     assert abs(report.e0 + 1.25) < 1e-9
     assert report.degeneracy == 3
     assert report.twice_s_computed == 2 and report.twice_s_predicted == 2
-    for sector in report.sectors:
+    assert [s.roles for s in report.solved] == [(LOWEST,), (AT_S,), (ABOVE_S,)]
+    assert len(cone_checked(report)) == 2
+    for sector in cone_checked(report):
         assert sector.ergodicity.verdict == "ergodic"
-        if abs(sector.e0 - report.e0) < 1e-8:
-            assert sector.strict_margin > 0
-            assert sector.multiplicity == 1
+        assert abs(sector.e0 - report.e0) < 1e-8
+        assert sector.strict_margin > 0
+        assert sector.multiplicity == 1
+    [above] = [s for s in report.solved if ABOVE_S in s.roles]
+    assert above.e0 > report.e0 + 1e-8 and above.ergodicity is None
 
 
 def test_verify_heisenberg_chain():
@@ -42,7 +54,8 @@ def test_verify_hubbard_star():
     report = verify_mlm_class(ModelSpec("hubbard", g, t=nn(g), u=4.0 * np.eye(4)))
     assert report.verdict == "consequence-verified-pass"
     assert report.twice_s_computed == 2 and report.degeneracy == 3
-    for sector in report.sectors:
+    assert len(cone_checked(report)) == 2
+    for sector in cone_checked(report):
         assert sector.ergodicity.verdict == "consequence-verified"
 
 
@@ -53,8 +66,9 @@ def test_verify_holstein_hubbard_notes_skipped_cone():
     report = verify_mlm_class(spec)
     assert report.ok
     assert report.twice_s_computed == 0
-    assert all(s.note == "cone-not-defined-under-truncation" for s in report.sectors)
-    assert all(s.ergodicity is None for s in report.sectors)
+    assert len(report.solved) == 2
+    assert all(s.note == "cone-not-defined-under-truncation" for s in report.solved)
+    assert all(s.ergodicity is None for s in report.solved)
 
 
 def test_verify_nt_square_and_path_counterexample():
@@ -98,7 +112,7 @@ def test_one_solve_per_sector(monkeypatch):
                                                       u=4.0 * np.eye(4)))):
         calls.clear()
         report = verify(spec)
-        assert report.ok and len(calls) == len(report.sectors)
+        assert report.ok and len(calls) == len(report.solved)
 
 
 def test_one_enumeration_per_sector(monkeypatch):
@@ -121,7 +135,7 @@ def test_one_enumeration_per_sector(monkeypatch):
                                          omega=1.0, n_max=4), 1)):
         calls.clear()
         report = verify(spec)
-        assert report.ok and len(calls) == per_sector * len(report.sectors)
+        assert report.ok and len(calls) == per_sector * len(report.solved)
 
 
 def test_verify_kondo_keeps_projected_failures_of_a_failed_report(monkeypatch):
@@ -134,6 +148,89 @@ def test_verify_kondo_keeps_projected_failures_of_a_failed_report(monkeypatch):
     assert report.verdict == "fail"
     assert any("ground vector not strictly positive" in f for f in report.failures)
     assert any("projected vector" in f for f in report.failures)
+
+
+def _verify_cases():
+    """Every `verify` case the tests run, and the 3-site star (S = 1/2), as
+    (name, entry, spec)."""
+    p2, p4, p14, g22 = path_graph(2), path_graph(4), path_graph(14), grid_graph(2, 2)
+    s2, s3 = star_graph(2), star_graph(3)
+    yield "mlm 3-site star", verify_mlm_class, ModelSpec("mlm", s2)
+    yield "mlm star:3", verify_mlm_class, ModelSpec("mlm", s3)
+    yield "mlm path:2", verify_mlm_class, ModelSpec("mlm", p2)
+    yield "heisenberg path:4", verify_mlm_class, ModelSpec("heisenberg", p4, j=nn(p4))
+    yield "heisenberg path:14", verify_mlm_class, ModelSpec("heisenberg", p14, j=nn(p14))
+    yield "hubbard path:2", verify_mlm_class, ModelSpec("hubbard", p2, t=nn(p2),
+                                                        u=4.0 * np.eye(2))
+    yield "hubbard star:3", verify_mlm_class, ModelSpec("hubbard", s3, t=nn(s3),
+                                                        u=4.0 * np.eye(4))
+    yield "holstein_hubbard path:2", verify_mlm_class, ModelSpec(
+        "holstein_hubbard", p2, t=nn(p2), u=4.0 * np.eye(2), g_ep=0.5 * np.eye(2),
+        omega=1.0, n_max=4)
+    yield "hubbard_nt grid:2x2", verify_nt_class, ModelSpec("hubbard_nt", g22, t=nn(g22))
+    for g, name, j_kondo in ((p2, "path:2", 1.0), (p2, "path:2", -1.0),
+                             (s3, "star:3", -1.0)):
+        yield (f"kondo {name} J={j_kondo:+g}", verify_kondo,
+               ModelSpec("kondo", g, t=nn(g), j_kondo=j_kondo))
+
+
+@pytest.mark.parametrize("entry,spec", [(e, s) for _, e, s in _verify_cases()],
+                         ids=[name for name, _, _ in _verify_cases()])
+def test_scheduled_sectors_agree_with_every_sector(entry, spec):
+    """The SU(2) schedule gives the E0, degeneracy and 2S that solving every
+    sector gives."""
+    e0, degeneracy, twice_s = full_schedule_summary(spec)
+    report = entry(spec)
+    assert report.ok, report.failures
+    assert abs(report.e0 - e0) <= 1e-10 * max(1.0, abs(e0))
+    assert report.degeneracy == degeneracy
+    assert report.twice_s_computed == twice_s == report.twice_s_predicted
+
+
+_HEISENBERG_4 = ModelSpec("heisenberg", path_graph(4), j=nn(path_graph(4)))
+_NT_2X2 = ModelSpec("hubbard_nt", grid_graph(2, 2), t=nn(grid_graph(2, 2)))
+
+
+@pytest.mark.parametrize("entry,spec,shift,checks", [
+    (verify_mlm_class, _HEISENBERG_4, +2, ["(M = S): E_min"]),
+    (verify_mlm_class, _HEISENBERG_4, -2, ["names no sector"]),
+    (verify_nt_class, _NT_2X2, +2, ["names no sector"]),
+    (verify_nt_class, _NT_2X2, -2, ["(M = S + 1): E_min", "not highest weight"]),
+], ids=["heisenberg path:4 S+1", "heisenberg path:4 S-1",
+        "hubbard_nt grid:2x2 S+1", "hubbard_nt grid:2x2 S-1"])
+def test_wrong_prediction_fails_at_the_named_check(monkeypatch, entry, spec, shift,
+                                                   checks):
+    """A prediction one unit off fails at the schedule's check for it, and the
+    computed E0, degeneracy and S stay the true ones."""
+    import edspin.verify
+    true_twice_s = predicted_twice_spin(spec)
+    monkeypatch.setattr(edspin.verify, "predicted_twice_spin",
+                        lambda s: true_twice_s + shift)
+    report = entry(spec)
+    assert report.verdict == "fail"
+    for check in checks + ["differs from the predicted"]:
+        assert any(check in f for f in report.failures), (check, report.failures)
+    e0, degeneracy, twice_s = full_schedule_summary(spec)
+    assert abs(report.e0 - e0) <= 1e-10 * max(1.0, abs(e0))
+    assert report.degeneracy == degeneracy
+    assert report.twice_s_computed == twice_s == true_twice_s
+
+
+def test_highest_weight_check_is_recorded():
+    """The M = S sector carries |S+ psi| within its bound; M = S + 1 and the
+    implied sectors carry neither, and the implied ones no solve."""
+    g = star_graph(3)
+    doc = verify_mlm_class(ModelSpec("mlm", g)).to_dict()
+    [at_s] = [s for s in doc["sectors"] if s.get("role") == AT_S]
+    assert at_s["M"] == 1.0
+    assert 0 <= at_s["highest_weight_norm"] <= at_s["highest_weight_bound"] < 1e-10
+    for s in doc["sectors"]:
+        if s is not at_s:
+            assert "highest_weight_norm" not in s
+    implied = [s for s in doc["sectors"] if "implied" in s]
+    assert sorted(s["M"] for s in implied) == [-2.0, -1.0]
+    assert all("E0" not in s and s["dim"] > 0 for s in implied)
+    assert "sector_schedule" in doc["tolerances"]
 
 
 def test_verify_certifies_the_14_site_chain():
@@ -163,7 +260,7 @@ def test_verify_certifies_the_14_site_chain():
 def test_report_names_each_strictness_rule():
     """Diagonal-cone ground sectors carry the certified rule's steps and
     bound, PSD-cone ground sectors the raw rule's 0 steps and tolerance;
-    other sectors carry neither."""
+    the M = S + 1 sector and the implied sectors carry neither."""
     from edspin.cones import STRICT_TOL
     g4, g2 = path_graph(4), path_graph(2)
     diag = verify_mlm_class(ModelSpec("heisenberg", g4, j=nn(g4))).to_dict()
@@ -173,6 +270,8 @@ def test_report_names_each_strictness_rule():
     def ground(doc):
         out = [s for s in doc["sectors"] if "strict_positivity_margin" in s]
         assert out
+        assert len(out) == sum("implied" not in s and s["role"] != ABOVE_S
+                               for s in doc["sectors"])
         return out
 
     for s in ground(diag):
