@@ -1,5 +1,10 @@
 """Exact diagonalization of lattice fermion models with ground-state spin and
-cone-positivity verification."""
+cone-positivity verification.
+
+scipy's submodules (``scipy.sparse``, ``scipy.linalg``) load on first use,
+not on import: a short run is dominated by its set-up, and importing them
+would more than double it.
+"""
 
 from .lattice import (Graph, Bipartition, LatticeFamily, ConfigGraph,
                       bipartition, normal_spanning_tree, relabel,

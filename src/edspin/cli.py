@@ -18,7 +18,7 @@ from . import verify as vf
 from .fock import check_packable, twice_value
 from .hamiltonians import ModelSpec, build, coupling_matrix
 from .lattice import (Graph, LatticeFamily, bipartition, path_graph, cycle_graph,
-                      read_edge_list, write_edge_list)
+                      grid_graph, read_edge_list, write_edge_list)
 from .spectra import SolverError, ground_space
 
 EXIT_PASS = 0
@@ -53,8 +53,11 @@ def parse_lattice(text: str | None, file: str | None) -> Graph:
     if not text:
         raise CliError("no lattice given (use --lattice or --lattice-file)")
     name, _, args = text.partition(":")
-    params = [int(a) for a in args.split(",")] if args else []
     try:
+        if name == "grid":
+            rows, cols = (int(a) for a in args.split("x"))
+            return grid_graph(rows, cols)
+        params = [int(a) for a in args.split(",")] if args else []
         if name == "path":
             return path_graph(*params)
         if name == "cycle":

@@ -43,13 +43,12 @@ it, and the sampled positivity check) refuse dimensions above
 ``spectra.DENSE_THRESHOLD`` before they allocate them.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
+import scipy
 
 from .fock import (SectorBasis, hubbard_labels, hubbard_sign_table,
                    kondo_labels, kondo_sign_table, mlm_sign_table,
@@ -68,7 +67,7 @@ PERRON_MAX_STEPS = 200   # step cap of the refinement
 def _operator_matrix(a):
     """The matrix of an operator: sparse as given, anything else as an array."""
     mat = a.matrix if isinstance(a, SparseOperator) else a
-    return mat if sp.issparse(mat) else np.asarray(mat)
+    return mat if scipy.sparse.issparse(mat) else np.asarray(mat)
 
 
 def _check_dense_size(dim: int, what: str) -> None:
@@ -100,18 +99,18 @@ class DiagonalCone:
         """Dense matrix of ``a`` in the distinguished basis (diagonal sign flip)."""
         _check_dense_size(self.dim, "conjugate_matrix")
         mat = _operator_matrix(a)
-        dense = mat.toarray() if sp.issparse(mat) else mat
+        dense = mat.toarray() if scipy.sparse.issparse(mat) else mat
         return self.signs[:, None] * dense * self.signs[None, :]
 
-    def conjugate_sparse(self, a) -> sp.csr_matrix:
+    def conjugate_sparse(self, a) -> scipy.sparse.csr_matrix:
         """S a S with S = diag(signs), as canonical (sorted, summed) CSR."""
-        mat = sp.csr_matrix(_operator_matrix(a))
+        mat = scipy.sparse.csr_matrix(_operator_matrix(a))
         if not mat.has_canonical_format:
             mat = mat.copy()
             mat.sum_duplicates()
         rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
         data = self.signs[rows] * mat.data * self.signs[mat.indices]
-        return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+        return scipy.sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,7 @@ def _perron_strictness(psi: np.ndarray, cone: DiagonalCone, h, ground: GroundSpa
     # eigenvalue in modulus.  The positive off-diagonals that the Metzler
     # test accepts up to tol are clipped, so no step subtracts.
     sigma = float(b.diagonal().real.max()) + max(1.0, abs(ground.energy))
-    m = sigma * sp.identity(n, format="csr") - b.real
+    m = sigma * scipy.sparse.identity(n, format="csr") - b.real
     m.data = np.maximum(m.data, 0.0)
     x = np.maximum(solved.real, 0.0)
     x /= np.linalg.norm(x)
@@ -389,7 +388,7 @@ class ErgodicityVerdict:
         return d
 
 
-def _structural_ergodicity(b: sp.csr_matrix, tol: float) -> ErgodicityVerdict:
+def _structural_ergodicity(b: scipy.sparse.csr_matrix, tol: float) -> ErgodicityVerdict:
     """Metzler form and irreducibility of ``b`` = S H S, read off its stored
     off-diagonal entries in row-major order.
 
@@ -404,9 +403,9 @@ def _structural_ergodicity(b: sp.csr_matrix, tol: float) -> ErgodicityVerdict:
     metzler_margin = -top if n else 0.0
     metzler = top <= tol and _imag_excess(vals) <= tol
     edge = np.abs(vals) > EDGE_TOL
-    support = sp.coo_matrix((np.ones(int(edge.sum())), (rows[edge], cols[edge])),
-                            shape=(n, n))
-    ncomp = int(connected_components(support, directed=False)[0])
+    support = scipy.sparse.coo_matrix(
+        (np.ones(int(edge.sum())), (rows[edge], cols[edge])), shape=(n, n))
+    ncomp = int(scipy.sparse.csgraph.connected_components(support, directed=False)[0])
     connected = ncomp <= 1
     if metzler and connected:
         return ErgodicityVerdict("ergodic", metzler_margin, True)
@@ -454,7 +453,7 @@ def ergodicity(h, cone: Cone, tol: float = STRICT_TOL,
     semi_tol = max(tol, 1e-8)
     semi_margin = np.inf
     for beta in betas:
-        images = expm_multiply(-beta * mat, members)
+        images = scipy.sparse.linalg.expm_multiply(-beta * mat, members)
         worst, witness = _least_sampled_overlap(members, images, semi_tol)
         semi_margin = min(semi_margin, worst)
         if worst < -semi_tol:

@@ -15,7 +15,7 @@ Models (and the sector bases they act on):
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from . import operators as ops
 from .fock import SectorBasis, SubspaceKind, enumerate_sector, sector_twice_m_values
@@ -172,10 +172,12 @@ def build(spec: ModelSpec, m) -> ops.SparseOperator:
     n = spec.graph.vertex_count
     n_max = spec.n_max
     ph_dim = basis.phonon_dim
-    h = sp.kron(elec.matrix, sp.identity(ph_dim, format="csr"), format="csr")
+    h = scipy.sparse.kron(elec.matrix, scipy.sparse.identity(ph_dim, format="csr"),
+                          format="csr")
     # omega * total phonon number
-    h = h + sp.kron(sp.identity(elec.domain.dim, format="csr"),
-                    spec.omega * ops.phonon_number_total(n, n_max), format="csr")
+    h = h + scipy.sparse.kron(scipy.sparse.identity(elec.domain.dim, format="csr"),
+                              spec.omega * ops.phonon_number_total(n, n_max),
+                              format="csr")
     # sum_xy g_xy (n_x - 1)(b_y* + b_y), with n the conduction density
     occ = ops.number_values(elec.domain, species=0) - 1.0
     b, bdag = ops.phonon_ops(n_max)
@@ -184,8 +186,9 @@ def build(spec: ModelSpec, m) -> ops.SparseOperator:
         weights = occ @ spec.g_ep[:, y]
         if not np.any(weights):
             continue
-        dia = sp.diags(weights, format="csr")
-        h = h + sp.kron(dia, ops.phonon_site_matrix(n, n_max, y, q), format="csr")
+        dia = scipy.sparse.diags(weights, format="csr")
+        h = h + scipy.sparse.kron(dia, ops.phonon_site_matrix(n, n_max, y, q),
+                                  format="csr")
     return ops.SparseOperator(h.tocsr(), basis, basis, hermitian=True)
 
 

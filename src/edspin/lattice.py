@@ -236,6 +236,8 @@ def grid_graph(rows: int, cols: int) -> Graph:
     Shell ordering (max(i, j), i, j) makes smaller grids initial segments of
     larger ones.
     """
+    if rows < 1 or cols < 1:
+        raise ValueError("grid needs at least one row and one column")
     verts = sorted(((i, j) for i in range(rows) for j in range(cols)),
                    key=lambda p: (max(p), p[0], p[1]))
     idx = {p: k for k, p in enumerate(verts)}

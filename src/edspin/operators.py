@@ -14,11 +14,13 @@ explicitly complex matrix and only ever enters through compositions that are
 real again.
 """
 
+from __future__ import annotations
+
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .fock import (SectorBasis, SubspaceKind, enumerate_sector,
                    mlm_sign_table, orbital_index, orbital_masks, pack,
@@ -32,7 +34,7 @@ HERMITICITY_TOL = 1e-12
 class SparseOperator:
     """Immutable sparse matrix tied to its domain/codomain sector bases."""
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     domain: SectorBasis
     codomain: SectorBasis
     hermitian: bool = False
@@ -95,14 +97,15 @@ def assemble(codomain: SectorBasis, domain: SectorBasis,
     # within a column, as a loop over the domain states gives it
     col = np.concatenate(cols)
     order = np.argsort(col, kind="stable")
-    mat = sp.csr_matrix((np.concatenate(vals)[order],
-                         (np.concatenate(rows)[order], col[order])),
-                        shape=(codomain.electron_dim, domain.electron_dim), dtype=dtype)
+    mat = scipy.sparse.csr_matrix((np.concatenate(vals)[order],
+                                   (np.concatenate(rows)[order], col[order])),
+                                  shape=(codomain.electron_dim, domain.electron_dim),
+                                  dtype=dtype)
     mat.sum_duplicates()
     if domain.subspace.n_max is not None:   # electron-major: phonons minor
         # kron of an empty factor is float64 whatever the factors' dtype
-        mat = sp.kron(mat, sp.identity(domain.phonon_dim, format="csr"),
-                      format="csr").astype(dtype, copy=False)
+        eye = scipy.sparse.identity(domain.phonon_dim, format="csr")
+        mat = scipy.sparse.kron(mat, eye, format="csr").astype(dtype, copy=False)
     return SparseOperator(mat, domain, codomain, hermitian)
 
 
@@ -116,7 +119,7 @@ def electron_basis(basis: SectorBasis) -> SectorBasis:
 
 def diagonal_operator(basis: SectorBasis, values: np.ndarray,
                       hermitian: bool = True) -> SparseOperator:
-    mat = sp.diags(values, format="csr")
+    mat = scipy.sparse.diags(values, format="csr")
     return SparseOperator(mat, basis, basis, hermitian)
 
 
@@ -216,13 +219,14 @@ def total_spin_squared(basis: SectorBasis) -> SparseOperator:
     """
     elec = electron_basis(basis)
     sz = magnetization_values(elec)
-    mat = sp.diags(sz * (sz + 1.0), format="csr")
+    mat = scipy.sparse.diags(sz * (sz + 1.0), format="csr")
     upper = _raised_sector(elec)
     if upper is not None:
         splus = assemble(upper, elec, _ladder_terms(elec, 2)).matrix
         mat = (splus.T @ splus + mat).tocsr()
     if basis.subspace.n_max is not None:
-        mat = sp.kron(mat, sp.identity(basis.phonon_dim, format="csr"), format="csr")
+        eye = scipy.sparse.identity(basis.phonon_dim, format="csr")
+        mat = scipy.sparse.kron(mat, eye, format="csr")
     return SparseOperator(mat, basis, basis, hermitian=True)
 
 
@@ -337,17 +341,17 @@ def hole_particle(basis: SectorBasis) -> SparseOperator:
         raise ValueError("graph is not bipartite")
     n = g.vertex_count
     corrected = bp.part_a if n % 2 == 0 else bp.part_b
-    w = sp.identity(basis.dim, format="csr")
+    w = scipy.sparse.identity(basis.dim, format="csr")
     for x in range(n):
         orb = orbital_index(x, 1)
         u_x = assemble(basis, basis, [(1.0, ((False, orb),)), (1.0, ((True, orb),))])
         w = w @ u_x.matrix
     up, dn = basis.fields()
     for z in corrected:
-        w = sp.diags(1.0 - 2.0 * ((dn >> z) & 1), format="csr") @ w
+        w = scipy.sparse.diags(1.0 - 2.0 * ((dn >> z) & 1), format="csr") @ w
     if n % 2:
         # odd site count: the mode product flips c_up; undo with the up parity
-        w = sp.diags(1.0 - 2.0 * (np.bitwise_count(up) & 1), format="csr") @ w
+        w = scipy.sparse.diags(1.0 - 2.0 * (np.bitwise_count(up) & 1), format="csr") @ w
     return SparseOperator(w.tocsr(), basis, basis)
 
 
@@ -365,21 +369,23 @@ def phonon_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return b, b.T.copy()
 
 
-def phonon_site_matrix(n_sites: int, n_max: int, site: int, single: np.ndarray) -> sp.csr_matrix:
+def phonon_site_matrix(n_sites: int, n_max: int, site: int,
+                       single: np.ndarray) -> scipy.sparse.csr_matrix:
     """Single-mode matrix acting on one site of the phonon product space."""
     dim = n_max + 1
-    out = sp.identity(1, format="csr")
+    out = scipy.sparse.identity(1, format="csr")
     for x in range(n_sites):
-        factor = sp.csr_matrix(single) if x == site else sp.identity(dim, format="csr")
-        out = sp.kron(out, factor, format="csr")
+        factor = (scipy.sparse.csr_matrix(single) if x == site
+                  else scipy.sparse.identity(dim, format="csr"))
+        out = scipy.sparse.kron(out, factor, format="csr")
     return out
 
 
-def phonon_number_total(n_sites: int, n_max: int) -> sp.csr_matrix:
+def phonon_number_total(n_sites: int, n_max: int) -> scipy.sparse.csr_matrix:
     b, bdag = phonon_ops(n_max)
     nmat = bdag @ b
     dim = (n_max + 1) ** n_sites
-    out = sp.csr_matrix((dim, dim))
+    out = scipy.sparse.csr_matrix((dim, dim))
     for x in range(n_sites):
         out = out + phonon_site_matrix(n_sites, n_max, x, nmat)
     return out.tocsr()
@@ -452,8 +458,8 @@ def embed_isometry(basis_small: SectorBasis, basis_big: SectorBasis) -> SparseOp
         raise ValueError("embedded state missing from the big basis")
     cols = np.repeat(np.arange(basis_small.dim), len(weights))
     vals = np.tile(weights, basis_small.dim)
-    mat = sp.csr_matrix((vals, (rows, cols)),
-                        shape=(basis_big.dim, basis_small.dim))
+    mat = scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                  shape=(basis_big.dim, basis_small.dim))
     return SparseOperator(mat, basis_small, basis_big)
 
 
@@ -461,6 +467,6 @@ def embed_state(psi: np.ndarray, iso: SparseOperator) -> np.ndarray:
     return iso.matrix @ psi
 
 
-def nesting_projection(iso: SparseOperator) -> sp.csr_matrix:
+def nesting_projection(iso: SparseOperator) -> scipy.sparse.csr_matrix:
     """Adjoint map from the big space onto small-space coordinates."""
     return iso.matrix.conj().T.tocsr()

@@ -38,7 +38,7 @@ route, the steps and restarts it took.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 DENSE_THRESHOLD = 4096        # largest dimension any dense routine accepts
 DENSE_PREFERENCE = 400        # ground_space solves up to this dimension densely
@@ -67,7 +67,7 @@ def dense_eigensolve(h, threshold: int = DENSE_THRESHOLD):
     n = mat.shape[0]
     if n > threshold:
         raise SolverError(f"dimension {n} exceeds the dense threshold {threshold}")
-    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+    dense = mat.toarray() if scipy.sparse.issparse(mat) else np.asarray(mat)
     vals, vecs = np.linalg.eigh(dense)
     recon = np.abs(dense @ vecs - vecs * vals).max() if n else 0.0
     if recon > 1e-9 * max(1.0, np.abs(vals).max() if n else 1.0):

@@ -358,7 +358,14 @@ def _report(spec: ModelSpec, solved, implied, validation: ValidationReport,
                   "highest_weight": "|S+ psi| at M=S within (N_e/2+1)*"
                                     "(2*residual/gap + roundoff)",
                   "diagonal_strictness": "perron-frobenius margin, within "
-                                         "2*residual/gap of the solved vector",
+                                         "2*residual/gap of the solved vector; "
+                                         "a margin far below this bound is "
+                                         "expected: positivity comes from the "
+                                         "nonnegative iteration, the bound only "
+                                         "certifies agreement with the solved vector",
+                  "gap": "every certified bound divides by the Lanczos gap, a Ritz "
+                         "value minus E0; a deflated sweep that missed lambda_2 "
+                         "overstates it",
                   "perron_rtol": cn.PERRON_RTOL,
                   "perron_max_steps": cn.PERRON_MAX_STEPS,
                   "strictness_tol": cn.STRICT_TOL,

@@ -88,6 +88,20 @@ def test_lattice_command_emits_exchange_format(tmp_path, capsys):
     assert run(["verify", "--model", "hubbard", "--lattice-file", str(out)]) == EXIT_PASS
 
 
+def test_grid_lattice(capsys):
+    assert run(["lattice", "--lattice", "grid:2x3"]) == EXIT_PASS
+    info = json.loads(capsys.readouterr().out)
+    assert info["vertices"] == 6 and len(info["edges"]) == 7
+    assert run(["verify", "--model", "hubbard_nt", "--lattice", "grid:2x3"]) == EXIT_PASS
+    assert "S = 2.5 (predicted 2.5)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lattice", ["path:abc", "grid:2", "grid:2x", "grid:0x3"])
+def test_bad_lattice_parameters_exit_parse(capsys, lattice):
+    assert run(["verify", "--model", "heisenberg", "--lattice", lattice]) == EXIT_PARSE
+    assert "bad lattice spec" in capsys.readouterr().err
+
+
 def test_build_and_diagonalize(tmp_path, capsys):
     coo = tmp_path / "h.coo"
     code = run(["build", "--model", "hubbard", "--lattice", "chain:1",

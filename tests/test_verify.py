@@ -287,6 +287,15 @@ def test_report_names_each_strictness_rule():
         assert "perron-frobenius" in doc["tolerances"]["diagonal_strictness"]
 
 
+def test_tolerances_say_what_the_certified_bounds_do_not_cover():
+    tolerances = verify_mlm_class(ModelSpec("mlm", path_graph(2))).to_dict()["tolerances"]
+    text = " ".join(v for v in tolerances.values() if isinstance(v, str))
+    assert "divides by the Lanczos gap" in text
+    assert "missed lambda_2 overstates it" in text
+    assert "margin far below this bound is expected" in text
+    assert "certifies agreement with the solved vector" in text
+
+
 def test_report_serialization_round_trip():
     report = verify_mlm_class(ModelSpec("mlm", path_graph(2)))
     blob = json.dumps(report.to_dict())
