@@ -6,16 +6,28 @@ repeated deflation extracts the lowest eigenpairs.  The routing threshold and
 the tolerances are module constants.  Both routes are deterministic: the
 Lanczos start vectors come from a seeded generator.
 
-``ground_space`` per sector, best of five, dense / Lanczos in ms (one-hole
-sectors marked NT):
+Either route solves only the bottom of a sector's spectrum: the ground
+cluster, for its energy and multiplicity, and the next level, for the gap
+that every Davis-Kahan bound divides by.  The dense route asks LAPACK's MRRR
+driver (``syevr``/``heevr``; Dhillon, Parlett & Vömel, ACM TOMS 32, 533
+(2006)) for the lowest 2 pairs and doubles the block while the cluster fills
+it.  Its reconstruction check holds each returned pair to
+1e-9 max(1, largest |lambda| returned), never looser than the scale of the
+whole spectrum.  Each Lanczos convergence check takes only the lowest
+eigenpair of the j x j tridiagonal matrix, in O(j).
 
-    states   220   364   400   495   504 NT  630 NT  792   924   1001
-    dense    5.4  15.3    18  30.6    27.7      50    89   145    163
-    Lanczos  4.4   6.7    10   4.9    27.1      34   5.4   5.1    9.9
+``ground_space`` per sector, best of five, in ms (one-hole sectors marked
+NT; one core of a 2-vCPU x86-64 host), with the full dense spectrum that
+the dense route computed before it solved only the lowest pairs:
 
-Lanczos is already faster at 220 and 364 states.  The threshold stays at 400
-because ``perfbench/suite.py`` checks that the psd_cone workload, whose
-Hubbard sectors have at most 400 states, runs no Krylov solve, and because a
+    states      220   364   400   495  504 NT  630 NT  792   924   1001
+    dense       1.8   5.3   6.5  10.9    11.3    19.9   40    69     88
+    Lanczos     2.7   2.9   4.0   2.9     7.3     9.4  3.4   3.6    5.2
+    full eigh   5.2  17.8  21.8  38.5    36.3    63.8  125   181    248
+
+Lanczos is faster at every size.  The threshold stays at 400 because
+``perfbench/suite.py`` checks that the psd_cone workload, whose Hubbard
+sectors have at most 400 states, runs no Krylov solve, and because a
 Lanczos vector is accurate to its residual, not in each tiny component.
 Diagonal cones decide strictness without reading those components
 (``cones.strict_positivity``); PSD-cone and Kondo-projected vectors still
@@ -23,8 +35,9 @@ read them against ``cones.STRICT_TOL``, and their sectors of 401-1200 states
 now do so on Krylov vectors.
 
 The Krylov route resolves ground clusters of up to ``MAX_MULTIPLICITY``
-vectors.  A larger cluster is solved densely when the sector is within
-``DENSE_THRESHOLD`` and raises ``SolverError`` above it.
+vectors, with one deflated sweep per vector.  A larger cluster is solved
+densely when the sector is within ``DENSE_THRESHOLD`` and raises
+``SolverError`` above it.
 
 The Krylov basis and the deflated vectors are stored one vector per row, so
 that projecting a new Lanczos vector off them streams contiguous memory and
@@ -61,14 +74,25 @@ def _as_matrix(h):
     return h.matrix if hasattr(h, "matrix") else h
 
 
-def dense_eigensolve(h, threshold: int = DENSE_THRESHOLD):
-    """Full ascending spectrum and eigenvectors of a hermitian operator."""
+def dense_eigensolve(h, threshold: int = DENSE_THRESHOLD, k: int | None = None):
+    """Ascending eigenvalues and eigenvectors of a hermitian operator.
+
+    All of them by default; with ``k`` below the dimension, only the lowest
+    ``k``, from LAPACK's MRRR driver (``syevr``/``heevr``).  Every returned
+    pair must satisfy ``|H v - lambda v| <= 1e-9 max(1, max |lambda|)``, the
+    maximum taken over the returned eigenvalues.
+    """
     mat = _as_matrix(h)
     n = mat.shape[0]
     if n > threshold:
         raise SolverError(f"dimension {n} exceeds the dense threshold {threshold}")
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
     dense = mat.toarray() if scipy.sparse.issparse(mat) else np.asarray(mat)
-    vals, vecs = np.linalg.eigh(dense)
+    if k is None or k >= n:
+        vals, vecs = np.linalg.eigh(dense)
+    else:
+        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1], driver="evr")
     recon = np.abs(dense @ vecs - vecs * vals).max() if n else 0.0
     if recon > 1e-9 * max(1.0, np.abs(vals).max() if n else 1.0):
         raise SolverError("dense eigensolver reconstruction error too large", recon)
@@ -77,14 +101,18 @@ def dense_eigensolve(h, threshold: int = DENSE_THRESHOLD):
 
 def lanczos_ground(h, k: int = 1, seed: int = DEFAULT_SEED, tol: float = LANCZOS_TOL,
                    max_iter: int = 400, max_restarts: int = 60,
-                   counts: dict | None = None):
+                   counts: dict | None = None, cluster_tol: float | None = None):
     """Lowest ``k`` eigenpairs by Lanczos with full reorthogonalization.
 
     Multiplicities are resolved by deflation: each converged vector is
-    projected out of all later Krylov spaces.  Deterministic for a fixed seed.
-    When ``counts`` is given, its integer ``"steps"`` (Lanczos steps, one
-    matvec each) and ``"restarts"`` entries are increased by this call's
-    totals.
+    projected out of all later Krylov spaces, one sweep per vector, all
+    drawing from one generator seeded with ``seed``; the first ``i`` sweeps
+    are therefore the same for every ``k >= i``.  With ``cluster_tol``, the
+    sweeps stop early, after the first one that lands more than
+    ``cluster_tol * max(1, |lowest|)`` above the lowest value found: the
+    ground cluster and the next level.  When ``counts`` is given, its
+    integer ``"steps"`` (Lanczos steps, one matvec each) and ``"restarts"``
+    entries are increased by this call's totals.
     """
     mat = _as_matrix(h)
     n = mat.shape[0]
@@ -106,8 +134,17 @@ def lanczos_ground(h, k: int = 1, seed: int = DEFAULT_SEED, tol: float = LANCZOS
             counts["restarts"] += restarts
         found_vals.append(theta)
         found = np.vstack([found, vec])
+        if cluster_tol is not None and _above_cluster(found_vals, cluster_tol):
+            break
     order = np.argsort(found_vals)
     return np.array(found_vals)[order], found[order].T
+
+
+def _above_cluster(vals, tol: float) -> bool:
+    """Whether some value lies more than ``tol * max(1, |lowest|)`` above the
+    lowest one."""
+    low = min(vals)
+    return max(vals) > low + tol * max(1.0, abs(low))
 
 
 def _orthogonalize(w: np.ndarray, *blocks: np.ndarray) -> float:
@@ -165,18 +202,17 @@ def _lanczos_one(mat, v0, deflate, tol, max_iter, max_restarts, rng):
             betas[j] = np.linalg.norm(w)
             j += 1
             if j % check_every == 0 or j == limit or betas[j - 1] < 1e-12:
-                tvals, tvecs = _tridiag_eigh(alphas[:j], betas[:j - 1])
+                theta, y = _lowest_ritz(alphas[:j], betas[:j - 1])
                 # cheap Ritz residual bound: |beta_j * (last component)|
-                if betas[j - 1] * abs(tvecs[-1, 0]) <= 0.1 * tol * max(1.0, abs(tvals[0])):
+                if betas[j - 1] * abs(y[-1]) <= 0.1 * tol * max(1.0, abs(theta)):
                     break
                 if betas[j - 1] < 1e-12:
                     break
         if j == 0:
             raise SolverError("Lanczos basis collapsed")
         steps += j
-        tvals, tvecs = _tridiag_eigh(alphas[:j], betas[:j - 1])
-        theta = float(tvals[0])
-        ritz = tvecs[:, 0] @ q[:j]
+        theta, y = _lowest_ritz(alphas[:j], betas[:j - 1])
+        ritz = y @ q[:j]
         ritz /= np.linalg.norm(ritz)
         res = float(np.linalg.norm(mat @ ritz - theta * ritz))
         if res <= tol * max(1.0, abs(theta)):
@@ -186,11 +222,16 @@ def _lanczos_one(mat, v0, deflate, tol, max_iter, max_restarts, rng):
         f"Lanczos failed to converge after {max_restarts} restarts", res)
 
 
-def _tridiag_eigh(alphas: np.ndarray, betas: np.ndarray):
-    tri = np.diag(alphas)
-    for i in range(len(betas)):
-        tri[i, i + 1] = tri[i + 1, i] = betas[i]
-    return np.linalg.eigh(tri)
+def _lowest_ritz(alphas: np.ndarray, betas: np.ndarray):
+    """Lowest eigenpair of the symmetric tridiagonal matrix with diagonal
+    ``alphas`` and off-diagonal ``betas`` in O(j): LAPACK's bisection
+    (``stebz``) and inverse iteration (``stein``).  ``stemr`` is as fast, but
+    where a nearly closed Krylov space leaves two Ritz values equal to
+    1e-10, it returns another vector of that pair and the sweep takes other
+    steps."""
+    tvals, tvecs = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
+                                                 select_range=(0, 0))
+    return float(tvals[0]), tvecs[:, 0]
 
 
 @dataclass(frozen=True)
@@ -216,27 +257,33 @@ class GroundSpace:
 
 
 def ground_space(h, seed: int = DEFAULT_SEED) -> GroundSpace:
-    """Ground energy, degeneracy and spanning vectors of a hermitian operator."""
+    """Ground energy, degeneracy and spanning vectors of a hermitian operator.
+
+    Each route solves only the bottom of the spectrum, until the solved
+    block reaches past the ground cluster: the Krylov route one deflated
+    sweep per vector, up to ``MAX_MULTIPLICITY + 1`` vectors; the dense route
+    the lowest 2 pairs, doubling the block while the cluster fills it.
+    """
     mat = _as_matrix(h)
     n = mat.shape[0]
     solver = SolverStats("dense")
+    k = min(n, 2)
     if n > DENSE_PREFERENCE:
         counts = {"steps": 0, "restarts": 0}
-        k = min(n, 2)
-        while True:
-            vals, vecs = lanczos_ground(mat, k=k, seed=seed, counts=counts)
-            cut = vals[0] + DEGENERACY_TOL * max(1.0, abs(vals[0]))
-            if vals[-1] > cut or k == n:
-                solver = SolverStats("lanczos", **counts)
-                break
-            if k > MAX_MULTIPLICITY:
-                if n > DENSE_THRESHOLD:
-                    raise SolverError(f"ground cluster exceeds {MAX_MULTIPLICITY} "
-                                      f"vectors; its multiplicity is unresolved")
-                break       # too large a cluster for the Krylov route: solve densely
-            k = min(n, MAX_MULTIPLICITY + 1, 2 * k)
-    if solver.route == "dense":
-        vals, vecs = dense_eigensolve(mat)
+        vals, vecs = lanczos_ground(mat, k=MAX_MULTIPLICITY + 1, seed=seed,
+                                    counts=counts, cluster_tol=DEGENERACY_TOL)
+        if _above_cluster(vals, DEGENERACY_TOL):
+            solver = SolverStats("lanczos", **counts)
+        elif n > DENSE_THRESHOLD:
+            raise SolverError(f"ground cluster exceeds {MAX_MULTIPLICITY} "
+                              f"vectors; its multiplicity is unresolved")
+        else:       # too large a cluster for the Krylov route: solve densely
+            k = 2 * len(vals)
+    while solver.route == "dense":
+        vals, vecs = dense_eigensolve(mat, k=k)
+        if _above_cluster(vals, DEGENERACY_TOL) or k == n:
+            break
+        k = min(n, 2 * k)
     e0 = float(vals[0])
     cut = e0 + DEGENERACY_TOL * max(1.0, abs(e0))
     mult = int(np.sum(vals <= cut))

@@ -23,6 +23,26 @@ def test_dense_examples():
         dense_eigensolve(np.eye(10), threshold=5)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_partial_dense_solve_matches_the_full_spectrum(dtype):
+    rng = np.random.default_rng(3)
+    n = 60
+    a = rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    h = (a + a.conj().T) / 2
+    full_vals, full_vecs = dense_eigensolve(h)
+    for k in (1, 2, 7, n - 1):
+        vals, vecs = dense_eigensolve(h, k=k)
+        assert vals.shape == (k,) and vecs.shape == (n, k)
+        assert np.abs(vals - full_vals[:k]).max() < 1e-12
+        # each column equals the full solve's up to a phase
+        overlaps = np.abs(np.sum(full_vecs[:, :k].conj() * vecs, axis=0))
+        assert np.abs(overlaps - 1.0).max() < 1e-10
+    with pytest.raises(ValueError):
+        dense_eigensolve(h, k=0)
+
+
 def test_lanczos_examples():
     d = sp.diags(np.arange(12.0))
     vals, vecs = lanczos_ground(d, k=1, seed=1)
@@ -156,6 +176,46 @@ def test_krylov_route_hands_a_large_cluster_to_the_dense_route():
         gs = ground_space(_degenerate_bottom(n, mult))
         assert gs.solver.route == route and gs.multiplicity == mult
         assert abs(gs.gap - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("mult", [2, 5])
+def test_krylov_route_runs_one_sweep_per_vector(mult):
+    """The cluster and the level above it cost one deflated sweep each: the
+    same steps as one ``lanczos_ground`` call for exactly that many vectors,
+    not a fresh call at each doubling of the block."""
+    d = _degenerate_bottom(spectra.DENSE_PREFERENCE + 1, mult)
+    gs = ground_space(d)
+    counts = {"steps": 0, "restarts": 0}
+    lanczos_ground(d, k=mult + 1, counts=counts)
+    assert gs.solver == spectra.SolverStats("lanczos", **counts)
+    assert gs.multiplicity == mult and abs(gs.gap - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3, 17])
+def test_dense_route_doubles_its_block_until_the_cluster_ends(mult):
+    """Below DENSE_PREFERENCE a cluster of up to 17 vectors fills the blocks
+    of 2, 4, 8 and 16 lowest pairs before one reaches past it."""
+    gs = ground_space(_degenerate_bottom(300, mult))
+    assert gs.solver.route == "dense" and gs.multiplicity == mult
+    assert abs(gs.gap - 1.0) < 1e-9
+
+
+def test_dense_route_solves_two_pairs_for_a_simple_ground(monkeypatch):
+    """A nondegenerate sector of DENSE_PREFERENCE states (Hubbard path:6,
+    M=0) needs only E0 and the next level."""
+    asked = []
+
+    def spy(h, threshold=spectra.DENSE_THRESHOLD, k=None):
+        asked.append(k)
+        return dense_eigensolve(h, threshold, k)
+
+    monkeypatch.setattr(spectra, "dense_eigensolve", spy)
+    p6 = path_graph(6)
+    h = build(ModelSpec("hubbard", p6, t=coupling_matrix(p6, 1.0, "nn"),
+                        u=4.0 * np.eye(6)), 0)
+    assert h.domain.dim == spectra.DENSE_PREFERENCE
+    gs = ground_space(h)
+    assert gs.multiplicity == 1 and asked == [2]
 
 
 def test_krylov_route_refuses_a_cluster_it_cannot_resolve():
