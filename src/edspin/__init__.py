@@ -6,17 +6,16 @@ not on import: a short run is dominated by its set-up, and importing them
 would more than double it.
 """
 
-from .lattice import (Graph, Bipartition, LatticeFamily, ConfigGraph,
-                      bipartition, normal_spanning_tree, relabel,
-                      sublattice_imbalance, spin_density_sequence,
-                      nt_config_graph, path_graph, cycle_graph, star_graph,
-                      grid_graph, read_edge_list, write_edge_list)
+from .lattice import (Graph, Bipartition, LatticeFamily, bipartition,
+                      normal_spanning_tree, relabel, sublattice_imbalance,
+                      spin_density_sequence, path_graph, cycle_graph,
+                      star_graph, grid_graph, read_edge_list, write_edge_list)
 from .fock import (SubspaceKind, SectorBasis, enumerate_sector,
                    sector_dimension, sector_twice_m_values)
 from .operators import (SparseOperator, spin_op, spin_dot, total_spin_squared,
-                        ladder_ops, hopping, coulomb, heisenberg_bond,
-                        gutzwiller, hole_particle, phonon_ops, full_fock_basis,
-                        embed_isometry, embed_state, nesting_projection,
+                        ladder_ops, hopping, coulomb, gutzwiller,
+                        hole_particle, phonon_ops, full_fock_basis,
+                        embed_isometry, nesting_projection,
                         annihilation_matrix, creation_matrix)
 from .hamiltonians import (ModelSpec, ValidationReport, build, coupling_matrix,
                            kondo_graphs, u_effective, validate)

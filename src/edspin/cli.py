@@ -18,7 +18,7 @@ from . import verify as vf
 from .fock import check_packable, twice_value
 from .hamiltonians import ModelSpec, build, coupling_matrix
 from .lattice import (Graph, LatticeFamily, bipartition, path_graph, cycle_graph,
-                      grid_graph, read_edge_list, write_edge_list)
+                      grid_graph, read_edge_list, relabel, write_edge_list)
 from .spectra import SolverError, ground_space
 
 EXIT_PASS = 0
@@ -158,6 +158,17 @@ def build_spec(cfg: dict) -> ModelSpec:
     return spec
 
 
+def _int_key(cfg: dict, key: str, default: int) -> int:
+    """The integer value of ``key``; ``default`` when it is absent or empty."""
+    text = cfg.get(key)
+    if not text:
+        return default
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise CliError(f"bad --{key.replace('_', '-')} {text!r}: not an integer") from exc
+
+
 def _sector_m(cfg: dict, spec: ModelSpec) -> float:
     """The ``--m`` of build and diagonalize (default 0): a number that is a
     multiple of 1/2 and names a nonempty sector."""
@@ -250,7 +261,7 @@ def _cmd_diagonalize(cfg: dict) -> int:
     spec = build_spec(cfg)
     m = _sector_m(cfg, spec)
     h = build(spec, m)
-    gs = ground_space(h.matrix, seed=int(cfg.get("seed", 0) or 0))
+    gs = ground_space(h.matrix, seed=_int_key(cfg, "seed", 0))
     report = {"model": {"model": spec.model, "vertices": spec.graph.vertex_count},
               "sectors": [{"M": m, "dim": h.domain.dim, "E0": gs.energy,
                            "multiplicity": gs.multiplicity, "gap": gs.gap,
@@ -262,7 +273,7 @@ def _cmd_diagonalize(cfg: dict) -> int:
 
 def _cmd_verify(cfg: dict) -> int:
     spec = build_spec(cfg)
-    seed = int(cfg.get("seed", 0) or 0)
+    seed = _int_key(cfg, "seed", 0)
     if spec.model in ("mlm", "heisenberg", "hubbard", "holstein_hubbard"):
         report = vf.verify_mlm_class(spec, seed=seed)
     elif spec.model in ("hubbard_nt", "holstein_nt"):
@@ -278,9 +289,14 @@ def _cmd_scan(cfg: dict) -> int:
     if not name:
         raise CliError("scan needs --family")
     fam_name, _, zarg = name.partition(":")
-    family = LatticeFamily(fam_name, int(zarg) if zarg else None)
-    n_min = int(cfg.get("n_min", 1) or 1)
-    n_max = int(cfg.get("n_max_scan", 3) or 3)
+    try:
+        family = LatticeFamily(fam_name, int(zarg) if zarg else None)
+    except ValueError as exc:
+        raise CliError(f"bad --family {name!r}: {exc}") from exc
+    n_min = _int_key(cfg, "n_min", 1)
+    n_max = _int_key(cfg, "n_max_scan", 3)
+    if not 1 <= n_min <= n_max:
+        raise CliError(f"scan needs 1 <= --n-min <= --n-max-scan, got {n_min} and {n_max}")
 
     def make_spec(g: Graph) -> ModelSpec:
         sub_cfg = {"model": cfg.get("model", "heisenberg")}
@@ -290,7 +306,7 @@ def _cmd_scan(cfg: dict) -> int:
         return _spec_on_graph(sub_cfg, g)
 
     report = vf.magnetic_order_scan(family, make_spec, range(n_min, n_max + 1),
-                                    seed=int(cfg.get("seed", 0) or 0))
+                                    seed=_int_key(cfg, "seed", 0))
     d = report.to_dict()
     if cfg.get("out"):
         Path(cfg["out"]).write_text(report_emit(d))
@@ -306,7 +322,7 @@ def _cmd_pair(cfg: dict) -> int:
     kind = cfg.get("pair")
     if not kind:
         raise CliError("pair needs --pair")
-    seed = int(cfg.get("seed", 0) or 0)
+    seed = _int_key(cfg, "seed", 0)
     if kind.startswith("nesting-"):
         model = kind[len("nesting-"):]
         g_small = parse_lattice(cfg.get("lattice_small"), None)
@@ -331,13 +347,17 @@ def _cmd_pair(cfg: dict) -> int:
 
 def _cmd_invariance(cfg: dict) -> int:
     spec = build_spec(cfg)
-    n = spec.graph.vertex_count
+    seed = _int_key(cfg, "seed", 0)
     if cfg.get("perm"):
-        perm = tuple(int(p) for p in cfg["perm"].split(","))
+        try:
+            perm = tuple(int(p) for p in cfg["perm"].split(","))
+            relabel(spec.graph, perm)
+        except ValueError as exc:
+            raise CliError(f"bad --perm {cfg['perm']!r}: {exc}") from exc
     else:
-        rng = np.random.default_rng(int(cfg.get("seed", 0) or 0))
-        perm = tuple(int(x) for x in rng.permutation(n))
-    report = vf.isomorphism_invariance(spec, perm, seed=int(cfg.get("seed", 0) or 0))
+        rng = np.random.default_rng(seed)
+        perm = tuple(int(x) for x in rng.permutation(spec.graph.vertex_count))
+    report = vf.isomorphism_invariance(spec, perm, seed=seed)
     d = report.to_dict()
     d["perm"] = list(perm)
     if cfg.get("out"):

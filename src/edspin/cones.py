@@ -161,10 +161,6 @@ class PSDMatrixCone:
 Cone = DiagonalCone | PSDMatrixCone
 
 
-def trivial_diagonal_cone(dim: int) -> DiagonalCone:
-    return DiagonalCone(np.ones(dim), None, "orthant")
-
-
 # cone constructors ----------------------------------------------------------
 
 def mlm_cone(basis: SectorBasis, part_b_mask: int | None = None) -> DiagonalCone:

@@ -19,7 +19,7 @@ import scipy
 
 from . import operators as ops
 from .fock import SectorBasis, SubspaceKind, enumerate_sector, sector_twice_m_values
-from .lattice import Graph, bipartition, normal_spanning_tree, nt_config_graph
+from .lattice import Graph, bipartition, normal_spanning_tree
 
 MODELS = ("mlm", "heisenberg", "hubbard", "hubbard_nt", "holstein_hubbard",
           "holstein_nt", "kondo", "kondo_holstein")
@@ -252,11 +252,6 @@ class ValidationReport:
                 "warnings": list(self.warnings)}
 
 
-def _graph_of_coupling(m: np.ndarray, n: int) -> Graph:
-    edges = tuple((x, y) for x in range(n) for y in range(x + 1, n) if m[x, y] != 0.0)
-    return Graph(n, edges)
-
-
 def _check_bipartite_support(name: str, m: np.ndarray, bp) -> list[ConditionCheck]:
     out = []
     bad = None
@@ -356,22 +351,30 @@ def validate(spec: ModelSpec) -> ValidationReport:
             "hopping-positive-on-edges", not bad,
             None if not bad else f"nonpositive hopping on edge {bad[0]}"))
         checks.append(_check_tree_containment("hopping", spec.t, g))
-        g_t = _graph_of_coupling(spec.t, n)
-        if not g_t.is_connected:
-            checks.append(ConditionCheck("configuration-graph-connected", False,
-                                         "hopping graph is disconnected"))
-        else:
-            witness = None
-            kind = SubspaceKind.one_hole()
-            for tm in sector_twice_m_values(g, kind):
-                cg = nt_config_graph(g_t, tm / 2)
-                comps = cg.components()
-                if len(comps) > 1:
-                    witness = (f"sector M={tm}/2 splits into {len(comps)} components; "
-                               f"one component: {[cg.nodes[i] for i in comps[0][:3]]}")
-                    break
-            checks.append(ConditionCheck("configuration-graph-connected",
-                                         witness is None, witness))
+        # The configuration graph of a one-hole sector is the support of the
+        # hopping on it: each hop of the hole is one stored entry +-t_xy,
+        # never a sum of terms, so no edge tolerance applies.  Spin flip maps
+        # sector -M onto sector M hop for hop, so the sectors M >= 0 decide
+        # all of them; a disconnected hopping graph splits the top sector.
+        witness = None
+        kind = SubspaceKind.one_hole()
+        for tm in sector_twice_m_values(g, kind):
+            if tm < 0:
+                continue
+            basis = enumerate_sector(g, kind, m=tm / 2)
+            ncomp, labels = scipy.sparse.csgraph.connected_components(
+                ops.hopping(basis, spec.t).matrix, directed=False)
+            if ncomp > 1:
+                # three states of one component as site spins: +1 up, -1 down,
+                # 0 the hole
+                up, dn = (f.tolist() for f in basis.fields())
+                states = [tuple(((up[i] >> x) & 1) - ((dn[i] >> x) & 1) for x in range(n))
+                          for i in np.flatnonzero(labels == labels[0])[:3]]
+                witness = (f"sector M={tm}/2 splits into {ncomp} components; "
+                           f"one component: {states}")
+                break
+        checks.append(ConditionCheck("configuration-graph-connected",
+                                     witness is None, witness))
         if model == "holstein_nt":
             _append_phonon_checks(spec, checks, definite=None)
 

@@ -1,5 +1,4 @@
-"""Finite graphs, bipartitions, spanning trees, lattice families, and the
-one-hole configuration graph.
+"""Finite graphs, bipartitions, spanning trees and lattice families.
 
 Vertices are the integers ``0..n-1``; every "arbitrarily fixed order" in the
 constructions downstream resolves to ascending vertex labels.  Families are
@@ -7,10 +6,9 @@ generated so that ``member(n)`` is an initial segment of ``member(n+1)``,
 which keeps nesting maps between Fock spaces free of permutation signs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -344,86 +342,3 @@ def spin_density_sequence(f: LatticeFamily, n_max: int) -> list[tuple[int, int, 
         imb = sublattice_imbalance(g)
         rows.append((n, g.vertex_count, imb, Fraction(imb, 2 * g.vertex_count)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# one-hole configuration graph
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConfigGraph:
-    """Graph of one-hole spin configurations joined by hole hops along ``g_t``.
-
-    A node is a tuple over sites with entries in {-1, 0, +1} and exactly one 0
-    (the hole); the entries sum to ``2M``.
-    """
-
-    nodes: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int]]
-    twice_m: int
-    index: dict[tuple[int, ...], int] = field(repr=False, compare=False, default_factory=dict)
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
-    def components(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.nodes]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen: set[int] = set()
-        comps = []
-        for start in range(len(self.nodes)):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-
-def hole_hop(sigma: tuple[int, ...], y: int) -> tuple[int, ...]:
-    """Move the hole of ``sigma`` to site ``y``; the spin at ``y`` takes its place."""
-    x0 = sigma.index(0)
-    out = list(sigma)
-    out[x0] = sigma[y]
-    out[y] = 0
-    return tuple(out)
-
-
-def nt_config_graph(g_t: Graph, m) -> ConfigGraph:
-    """Configuration graph of the one-hole sector with S3 eigenvalue ``m``."""
-    if not g_t.is_connected:
-        raise ValueError("graph not connected")
-    n = g_t.vertex_count
-    twice_m = int(round(2 * m))
-    n_up = (twice_m + (n - 1))
-    if n_up % 2 != 0 or not 0 <= n_up // 2 <= n - 1:
-        raise ValueError(f"empty sector: M={m} invalid for {n - 1} spin-1/2 particles")
-    n_up //= 2
-    nodes = []
-    for hole in range(n):
-        rest = [v for v in range(n) if v != hole]
-        for ups in combinations(rest, n_up):
-            sigma = [-1] * n
-            sigma[hole] = 0
-            for u in ups:
-                sigma[u] = 1
-            nodes.append(tuple(sigma))
-    nodes.sort()
-    index = {s: i for i, s in enumerate(nodes)}
-    edges = set()
-    for i, sigma in enumerate(nodes):
-        x0 = sigma.index(0)
-        for y in g_t.neighbors[x0]:
-            j = index[hole_hop(sigma, y)]
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    return ConfigGraph(tuple(nodes), frozenset(edges), twice_m, index)

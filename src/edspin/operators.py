@@ -305,10 +305,6 @@ def coulomb(basis: SectorBasis, u: np.ndarray) -> SparseOperator:
     return diagonal_operator(basis, vals)
 
 
-def heisenberg_bond(basis: SectorBasis, x: int, y: int) -> SparseOperator:
-    return spin_dot(basis, (x, 0), (y, 0))
-
-
 def gutzwiller(basis: SectorBasis) -> SparseOperator:
     """Projection onto configurations without doubly occupied conduction sites."""
     up, dn = basis.fields()[:2]
@@ -461,10 +457,6 @@ def embed_isometry(basis_small: SectorBasis, basis_big: SectorBasis) -> SparseOp
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)),
                                   shape=(basis_big.dim, basis_small.dim))
     return SparseOperator(mat, basis_small, basis_big)
-
-
-def embed_state(psi: np.ndarray, iso: SparseOperator) -> np.ndarray:
-    return iso.matrix @ psi
 
 
 def nesting_projection(iso: SparseOperator) -> scipy.sparse.csr_matrix:

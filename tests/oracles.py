@@ -11,7 +11,8 @@ ground level across sectors, without the SU(2) argument ``verify`` rests on.
 """
 
 from bisect import bisect_left
-from itertools import product
+from dataclasses import dataclass, field
+from itertools import combinations, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -155,6 +156,86 @@ def dense_diagonal_ergodicity(h, signs: np.ndarray, tol: float = 1e-10) -> dict:
     if reasons:
         out["witness"] = "; ".join(reasons)
     return out
+
+
+# one-hole configuration graph --------------------------------------------------
+#
+# One tuple per state over the sites, entries in {-1, 0, +1} with exactly one
+# 0 (the hole) and summing to 2M; an edge for every hop of the hole along the
+# hopping graph; components by depth-first search.
+
+@dataclass(frozen=True)
+class ReferenceConfigGraph:
+    nodes: tuple[tuple[int, ...], ...]
+    edges: frozenset[tuple[int, int]]
+    twice_m: int
+    index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+
+    def is_connected(self) -> bool:
+        return len(self.components()) <= 1
+
+    def components(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in self.nodes]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        seen: set[int] = set()
+        comps = []
+        for start in range(len(self.nodes)):
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            comps.append(sorted(comp))
+        return comps
+
+
+def _hole_hop(sigma: tuple[int, ...], y: int) -> tuple[int, ...]:
+    """Move the hole of ``sigma`` to site ``y``; the spin at ``y`` takes its place."""
+    x0 = sigma.index(0)
+    out = list(sigma)
+    out[x0] = sigma[y]
+    out[y] = 0
+    return tuple(out)
+
+
+def reference_config_graph(g_t, m) -> ReferenceConfigGraph:
+    """Configuration graph of the one-hole sector with S3 eigenvalue ``m``
+    whose hole hops along the edges of the graph ``g_t``."""
+    if not g_t.is_connected:
+        raise ValueError("graph not connected")
+    n = g_t.vertex_count
+    twice_m = int(round(2 * m))
+    n_up = (twice_m + (n - 1))
+    if n_up % 2 != 0 or not 0 <= n_up // 2 <= n - 1:
+        raise ValueError(f"empty sector: M={m} invalid for {n - 1} spin-1/2 particles")
+    n_up //= 2
+    nodes = []
+    for hole in range(n):
+        rest = [v for v in range(n) if v != hole]
+        for ups in combinations(rest, n_up):
+            sigma = [-1] * n
+            sigma[hole] = 0
+            for u in ups:
+                sigma[u] = 1
+            nodes.append(tuple(sigma))
+    nodes.sort()
+    index = {s: i for i, s in enumerate(nodes)}
+    edges = set()
+    for i, sigma in enumerate(nodes):
+        x0 = sigma.index(0)
+        for y in g_t.neighbors[x0]:
+            j = index[_hole_hop(sigma, y)]
+            if i != j:
+                edges.add((min(i, j), max(i, j)))
+    return ReferenceConfigGraph(tuple(nodes), frozenset(edges), twice_m, index)
 
 
 # per-state operator assembly -------------------------------------------------

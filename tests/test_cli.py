@@ -102,6 +102,30 @@ def test_bad_lattice_parameters_exit_parse(capsys, lattice):
     assert "bad lattice spec" in capsys.readouterr().err
 
 
+_STAR = ["--model", "mlm", "--lattice", "star:2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--family", "nosuch"], "unknown generator 'nosuch'"),
+    (["scan", "--family", "bethe_ball:x"], "bad --family 'bethe_ball:x'"),
+    (["scan", "--family", "star", "--n-min", "a"], "bad --n-min 'a'"),
+    (["scan", "--family", "star", "--n-max-scan", "2.5"], "bad --n-max-scan '2.5'"),
+    (["scan", "--family", "star", "--n-min", "3", "--n-max-scan", "2"],
+     "1 <= --n-min <= --n-max-scan, got 3 and 2"),
+    (["scan", "--family", "star", "--n-min", "0"], "got 0 and 3"),
+    (["verify", *_STAR, "--seed", "abc"], "bad --seed 'abc'"),
+    (["diagonalize", *_STAR, "--seed", "1e3"], "bad --seed '1e3'"),
+    (["pair", "--pair", "hubbard-mlm", "--lattice", "star:2", "--seed", "x"],
+     "bad --seed 'x'"),
+    (["invariance", *_STAR, "--perm", "0,a,1,2"], "bad --perm '0,a,1,2'"),
+    (["invariance", *_STAR, "--perm", "0,0,1,2"], "not a bijection"),
+    (["invariance", *_STAR, "--perm", "0,2,1"], "not a bijection"),
+])
+def test_malformed_integer_keys_exit_parse(capsys, argv, message):
+    assert run(argv) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
 def test_build_and_diagonalize(tmp_path, capsys):
     coo = tmp_path / "h.coo"
     code = run(["build", "--model", "hubbard", "--lattice", "chain:1",

@@ -12,7 +12,7 @@ from edspin.cones import (PERRON_MAX_STEPS, STRICT_TOL, DiagonalCone,
                           kondo_diagonal_restriction, membership, mlm_cone,
                           modular_conjugation, monotonicity_check,
                           nesting_consistency, nt_cone, positivity_preserving,
-                          strict_positivity, trivial_diagonal_cone)
+                          strict_positivity)
 from edspin.fock import SubspaceKind, enumerate_sector, kondo_sign_table
 from edspin.hamiltonians import ModelSpec, build, coupling_matrix
 from edspin.lattice import grid_graph, path_graph, star_graph
@@ -83,7 +83,7 @@ def test_modular_conjugation(mlm_star_m0):
 
 
 def test_positivity_preserving_diagonal():
-    cone = trivial_diagonal_cone(3)
+    cone = DiagonalCone(np.ones(3))
     good = np.array([[0.5, 1.0, 0.0], [0.0, 0.2, 0.3], [0.1, 0.0, 0.0]])
     assert positivity_preserving(good, cone).preserving
     bad = good.copy()
@@ -132,7 +132,7 @@ def test_sampled_check_matches_pairwise_loop():
 
 
 def test_ergodicity_examples():
-    cone = trivial_diagonal_cone(2)
+    cone = DiagonalCone(np.ones(2))
     v = ergodicity(np.array([[0.0, -1.0], [-1.0, 0.0]]), cone)
     assert v.verdict == "ergodic"
     v = ergodicity(np.diag([0.0, 1.0]), cone)
@@ -170,7 +170,7 @@ def test_perron_frobenius_consequence():
 
 
 def test_monotonicity():
-    cone = trivial_diagonal_cone(4)
+    cone = DiagonalCone(np.ones(4))
     rng = np.random.default_rng(5)
     a = -np.abs(rng.standard_normal((4, 4)))
     np.fill_diagonal(a, rng.standard_normal(4))
@@ -213,7 +213,7 @@ def test_psd_self_duality_sampled():
 
 def test_product_rule_diagonal():
     rng = np.random.default_rng(11)
-    cone = trivial_diagonal_cone(6)
+    cone = DiagonalCone(np.ones(6))
     for _ in range(25):
         a = np.abs(rng.standard_normal((6, 6)))
         b = np.abs(rng.standard_normal((6, 6)))
@@ -289,7 +289,7 @@ def test_sparse_ergodicity_matches_dense_reference():
 
 
 def test_ergodicity_witnesses_hand_built():
-    cone = trivial_diagonal_cone(4)
+    cone = DiagonalCone(np.ones(4))
     # two largest off-diagonal entries tie; the row-major first one is named
     not_metzler = np.array([[0.0, -1.0, 0.0, 0.0],
                             [0.25, 0.0, -1.0, 0.0],
@@ -307,15 +307,15 @@ def test_ergodicity_witnesses_hand_built():
     assert v.verdict == "not-ergodic" and not v.connected
     assert v.witness == "off-diagonal support splits into 3 components"
     # a Metzler matrix has margin -0.0: the zeroed diagonal caps the maximum
-    v = ergodicity(np.array([[0.0, -1.0], [-1.0, 3.0]]), trivial_diagonal_cone(2))
+    v = ergodicity(np.array([[0.0, -1.0], [-1.0, 3.0]]), DiagonalCone(np.ones(2)))
     assert v.verdict == "ergodic" and math.copysign(1.0, v.metzler_margin) == -1.0
     both = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    v = ergodicity(both, trivial_diagonal_cone(3))
+    v = ergodicity(both, DiagonalCone(np.ones(3)))
     assert v.witness == ("positive off-diagonal at (0, 1); "
                          "off-diagonal support splits into 2 components")
     # only an imaginary part breaks the Metzler form
     cplx = np.array([[0.0, -1.0 + 1.0j], [-1.0 - 1.0j, 0.0]])
-    v = ergodicity(cplx, trivial_diagonal_cone(2))
+    v = ergodicity(cplx, DiagonalCone(np.ones(2)))
     assert v.to_dict() == dense_diagonal_ergodicity(cplx, np.ones(2))
     assert v.witness == "positive off-diagonal at (0, 0)"
     for h in (not_metzler, disconnected, both):
@@ -343,7 +343,7 @@ def test_consequence_margins_match_dense_expm():
 def test_dense_checks_refuse_oversized_sectors():
     n = DENSE_THRESHOLD + 1
     big = sp.identity(n, format="csr")
-    cone = trivial_diagonal_cone(n)
+    cone = DiagonalCone(np.ones(n))
     with pytest.raises(ValueError, match="limit"):
         cone.conjugate_matrix(big)
     with pytest.raises(ValueError, match="limit"):

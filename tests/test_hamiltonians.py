@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,12 +7,12 @@ import scipy.sparse as sp
 from edspin.fock import SubspaceKind, enumerate_sector
 from edspin.hamiltonians import (ModelSpec, build, coupling_matrix,
                                  kondo_graphs, u_effective, validate)
-from edspin.lattice import (bipartition, grid_graph, nt_config_graph,
+from edspin.lattice import (Graph, bipartition, cycle_graph, grid_graph,
                             path_graph, star_graph, sublattice_imbalance)
 from edspin.operators import ladder_ops, spin_op, total_spin_squared
 from edspin.cones import mlm_cone, nt_cone
 
-from oracles import coupled_spins_ground, heisenberg_kron
+from oracles import coupled_spins_ground, heisenberg_kron, reference_config_graph
 
 
 def nn(g, v=1.0):
@@ -68,7 +70,7 @@ def test_nt_block_matches_config_graph():
         basis = spec.basis(tm / 2)
         h = build(spec, tm / 2).dense()
         b = nt_cone(basis).conjugate_matrix(h)
-        cg = nt_config_graph(g, tm / 2)
+        cg = reference_config_graph(g, tm / 2)
 
         def sigma_of(up, dn):
             return tuple(1 if (up >> x) & 1 else (-1 if (dn >> x) & 1 else 0)
@@ -126,6 +128,41 @@ def test_validate_examples():
     j3[1, 2] = j3[2, 1] = 0.0
     report = validate(ModelSpec("heisenberg", g, j=j3))
     assert any(c.name == "exchange-contains-spanning-tree" for c in report.failed())
+
+
+NT_LATTICES = {
+    **{f"path:{k}": path_graph(k) for k in (3, 4, 5, 6)},
+    **{f"star:{k}": star_graph(k) for k in (3, 4)},
+    **{f"cycle:{k}": cycle_graph(k) for k in (4, 5, 6)},
+    **{f"grid:{r}x{c}": grid_graph(r, c) for r, c in ((2, 2), (2, 3), (3, 3))},
+    "cycle:6+chord": Graph(6, cycle_graph(6).edges + ((0, 3),)),
+}
+
+
+@pytest.mark.parametrize("name", NT_LATTICES)
+def test_validate_connectivity_matches_reference_config_graph(name):
+    """``validate``'s configuration-graph check agrees with the per-state
+    tuple graph: a pass iff every sector is connected, else a witness naming
+    the smallest split M >= 0, its component count and three states of one
+    component."""
+    g = NT_LATTICES[name]
+    spec = ModelSpec("hubbard_nt", g, t=nn(g))
+    graphs = {tm: reference_config_graph(g, tm / 2) for tm in spec.sector_values()}
+    comps = {tm: cg.components() for tm, cg in graphs.items()}
+    # spin flip maps sector -M onto sector M: the premise of checking M >= 0
+    assert all(len(comps[tm]) == len(comps[-tm]) for tm in comps)
+    (check,) = [c for c in validate(spec).checks
+                if c.name == "configuration-graph-connected"]
+    split = [tm for tm in sorted(comps) if tm >= 0 and len(comps[tm]) > 1]
+    assert check.passed == (not split)
+    if split:
+        tm = split[0]
+        head = f"sector M={tm}/2 splits into {len(comps[tm])} components; one component: "
+        assert check.witness.startswith(head)
+        states = ast.literal_eval(check.witness[len(head):])
+        assert len(states) == 3
+        rows = {graphs[tm].index[s] for s in states}
+        assert any(rows <= set(comp) for comp in comps[tm])
 
 
 def test_validate_phonon_conditions():

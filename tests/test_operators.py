@@ -8,9 +8,8 @@ from edspin.hamiltonians import ModelSpec, build
 from edspin.lattice import bipartition, grid_graph, path_graph, star_graph
 from edspin.operators import (SparseOperator, annihilation_matrix, coulomb,
                               creation_matrix, electron_basis, embed_isometry,
-                              embed_state, full_fock_basis, gutzwiller,
-                              heisenberg_bond, hole_particle, hopping,
-                              ladder_ops, magnetization_values,
+                              full_fock_basis, gutzwiller, hole_particle,
+                              hopping, ladder_ops, magnetization_values,
                               nesting_projection, phonon_ops, spin_dot,
                               spin_op, total_spin_squared)
 
@@ -160,7 +159,7 @@ def test_coulomb_examples():
 
 def test_heisenberg_bond_spectrum():
     basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
-    bond = heisenberg_bond(basis, 0, 1).dense()
+    bond = spin_dot(basis, (0, 0), (1, 0)).dense()
     vals = np.sort(np.linalg.eigvalsh(bond))
     assert np.allclose(vals, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
     s2 = total_spin_squared(basis).dense()
@@ -239,7 +238,7 @@ def test_embed_is_isometric(kind):
     assert np.abs((k.T @ k - sp.identity(small.dim)).toarray()).max() < 1e-12
     psi = np.zeros(small.dim)
     psi[0] = 1.0
-    assert abs(np.linalg.norm(embed_state(psi, iso)) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(iso.matrix @ psi) - 1.0) < 1e-12
     proj = nesting_projection(iso)
     assert np.abs((proj @ k - sp.identity(small.dim)).toarray()).max() < 1e-12
 

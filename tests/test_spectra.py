@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from edspin.fock import SubspaceKind, enumerate_sector
 from edspin.hamiltonians import ModelSpec, build, coupling_matrix
 from edspin.lattice import grid_graph, path_graph, star_graph
-from edspin.operators import heisenberg_bond, ladder_ops, total_spin_squared
+from edspin.operators import ladder_ops, spin_dot, total_spin_squared
 from edspin import spectra
 from edspin.spectra import (MixedMultipletError, SolverError, dense_eigensolve,
                             ground_space, lanczos_ground, total_spin_of)
@@ -17,7 +17,7 @@ def test_dense_examples():
     vals, _ = dense_eigensolve(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert np.allclose(vals, [-1.0, 1.0])
     basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
-    vals, _ = dense_eigensolve(heisenberg_bond(basis, 0, 1))
+    vals, _ = dense_eigensolve(spin_dot(basis, (0, 0), (1, 0)))
     assert np.allclose(vals, [-0.75, 0.25, 0.25, 0.25])
     with pytest.raises(SolverError):
         dense_eigensolve(np.eye(10), threshold=5)
@@ -142,14 +142,28 @@ def test_orthogonalize_second_pass_after_a_large_norm_drop():
 
 
 def test_lanczos_injects_a_fresh_direction_in_an_invariant_subspace(monkeypatch):
-    # 13 distinct values, -5 twice: the first sweep converges before its
-    # Krylov space is exhausted; the second, deflated, exhausts it while its
-    # residual still points along the first vector, so the projected
-    # direction vanishes and a fresh one is injected
-    d = sp.diags(np.resize(np.concatenate([[-5.0], np.arange(12.0)]), 24))
+    # u is the eigenvector e0 of M converged to about 1e-9, and the start
+    # vector is e1 orthogonalized to u: span(u, q0) = span(e0, e1) is
+    # invariant, so the next residual lies in it, its projected direction
+    # vanishes and a fresh one is injected, whichever Ritz vector LAPACK gives
+    mat = sp.diags([-5.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    u = np.array([1.0, 1e-9, 0.0, 0.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    v0 = np.eye(6)[1] - u[1] * u
+    v0 /= np.linalg.norm(v0)
     calls = _spy_orthogonalize(monkeypatch)
-    vals, vecs = lanczos_ground(d, k=3, seed=1)
+    theta, vec, steps, _ = spectra._lanczos_one(mat, v0, u[None, :], spectra.LANCZOS_TOL,
+                                                400, 60, np.random.default_rng(1))
     assert any(nrm < 1e-12 for _, nrm in calls)
+    # the sweep went on from the injected direction to span u's complement
+    assert steps == 5
+    assert abs(theta) < 1e-12
+    assert abs(u @ vec) < 1e-12
+    assert np.linalg.norm(mat @ vec - theta * vec) <= spectra.LANCZOS_TOL
+    # a deflated solve whose second sweep may exhaust its Krylov space (13
+    # distinct values, -5 twice) still returns the right orthonormal vectors
+    d = sp.diags(np.resize(np.concatenate([[-5.0], np.arange(12.0)]), 24))
+    vals, vecs = lanczos_ground(d, k=3, seed=1)
     assert np.allclose(vals, [-5.0, -5.0, 0.0], atol=1e-9)
     assert np.abs(vecs.T @ vecs - np.eye(3)).max() < 1e-12
     assert np.linalg.norm(d @ vecs - vecs * vals, axis=0).max() < 1e-8
@@ -157,7 +171,8 @@ def test_lanczos_injects_a_fresh_direction_in_an_invariant_subspace(monkeypatch)
 
 def test_ground_space_records_its_solver():
     basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
-    assert ground_space(heisenberg_bond(basis, 0, 1)).solver == spectra.SolverStats("dense")
+    bond = spin_dot(basis, (0, 0), (1, 0))
+    assert ground_space(bond).solver == spectra.SolverStats("dense")
     d = sp.diags(np.arange(spectra.DENSE_PREFERENCE + 1.0))
     solver = ground_space(d).solver
     assert solver.route == "lanczos" and solver.steps > 0 and solver.restarts == 0
@@ -259,7 +274,7 @@ def test_krylov_sectors_agree_with_dense(twice_m):
 
 def test_ground_space_examples():
     basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
-    gs = ground_space(heisenberg_bond(basis, 0, 1))
+    gs = ground_space(spin_dot(basis, (0, 0), (1, 0)))
     assert gs.multiplicity == 1 and abs(gs.energy + 0.75) < 1e-12
     assert gs.gap > 0.9
     # whole-space runs count the full multiplet
@@ -278,7 +293,7 @@ def test_ground_space_examples():
 def test_total_spin_of():
     basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
     s2 = total_spin_squared(basis)
-    vals, vecs = dense_eigensolve(heisenberg_bond(basis, 0, 1))
+    vals, vecs = dense_eigensolve(spin_dot(basis, (0, 0), (1, 0)))
     twice_s, res = total_spin_of(vecs[:, 0], s2)
     assert twice_s == 0 and res < 1e-10
     twice_s, _ = total_spin_of(vecs[:, -1], s2)
