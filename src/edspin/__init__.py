@@ -12,9 +12,9 @@ from .lattice import (Graph, Bipartition, LatticeFamily, bipartition,
                       star_graph, grid_graph, read_edge_list, write_edge_list)
 from .fock import (SubspaceKind, SectorBasis, enumerate_sector,
                    sector_dimension, sector_twice_m_values)
-from .operators import (SparseOperator, spin_op, spin_dot, total_spin_squared,
-                        ladder_ops, hopping, coulomb, gutzwiller,
-                        hole_particle, phonon_ops, full_fock_basis,
+from .operators import (SparseOperator, spin_op, spin_dot, ladder_ops,
+                        hopping, coulomb, gutzwiller, hole_particle,
+                        phonon_ops, full_fock_basis,
                         embed_isometry, nesting_projection,
                         annihilation_matrix, creation_matrix)
 from .hamiltonians import (ModelSpec, ValidationReport, build, coupling_matrix,

@@ -1,9 +1,9 @@
 """Config-driven command-line front end and report emitter.
 
-Exit codes: 0 all checks pass, 1 theorem-check failure, 2 parse error,
-3 validation failure, 4 solver failure.  Reports are JSON with a stable key
-order plus a human summary table on stdout; for a fixed config and seed the
-report is reproducible apart from the timing fields.
+Exit codes: 0 all checks pass, 1 theorem-check failure, 2 parse error or
+unreadable input file, 3 validation failure, 4 solver failure.  Reports are
+JSON with a stable key order plus a human summary table on stdout; for a fixed
+config and seed the report is reproducible apart from the timing fields.
 """
 
 import argparse
@@ -49,7 +49,10 @@ def parse_config_file(path: str) -> dict:
 
 def parse_lattice(text: str | None, file: str | None) -> Graph:
     if file:
-        return read_edge_list(Path(file).read_text())
+        try:
+            return read_edge_list(Path(file).read_text())
+        except ValueError as exc:
+            raise CliError(f"bad lattice file {file!r}: {exc}") from exc
     if not text:
         raise CliError("no lattice given (use --lattice or --lattice-file)")
     name, _, args = text.partition(":")
@@ -438,7 +441,7 @@ def run(argv=None) -> int:
         if unread:
             raise CliError(f"{command} does not read {', '.join(unread)}")
         return handler(cfg)
-    except CliError as exc:
+    except (CliError, OSError) as exc:     # OSError: an input file unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except vf.ValidationFailure as exc:

@@ -223,6 +223,8 @@ class SectorBasis:
 
     def lookup(self, words: np.ndarray) -> np.ndarray:
         """Electron-factor row of each packed word, -1 where it is absent."""
+        if not len(self.words):             # an empty sector holds no word
+            return np.full(np.shape(words), -1)
         i = np.searchsorted(self.words, words)
         found = self.words[np.minimum(i, len(self.words) - 1)] == words
         return np.where(found, i, -1)

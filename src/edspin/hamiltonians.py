@@ -25,6 +25,7 @@ MODELS = ("mlm", "heisenberg", "hubbard", "hubbard_nt", "holstein_hubbard",
           "holstein_nt", "kondo", "kondo_holstein")
 
 PD_TOL = 1e-10
+SYMMETRY_RTOL = 1e-12   # largest |m - m^T| of a coupling, relative to max(1, max |m|)
 
 _PHONON_MODELS = ("holstein_hubbard", "holstein_nt", "kondo_holstein")
 
@@ -77,9 +78,11 @@ class ModelSpec:
                 n = self.graph.vertex_count
                 if m.shape != (n, n):
                     raise ValueError(f"coupling {name} has wrong shape")
-                if not np.allclose(m, m.T, atol=1e-12):
+                scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+                if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_RTOL * scale:
                     raise ValueError(f"coupling {name} must be symmetric")
-                object.__setattr__(self, name, m)
+                # averaged, so every later check sees one symmetric matrix
+                object.__setattr__(self, name, (m + m.T) / 2)
         if self.model in _PHONON_MODELS:
             if self.omega is None or self.omega <= 0:
                 raise ValueError("phonon models need omega > 0")

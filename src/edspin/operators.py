@@ -11,7 +11,9 @@ search of the sorted codomain finds the target rows.
 
 Everything is real except the second spin component, which is kept as an
 explicitly complex matrix and only ever enters through compositions that are
-real again.
+real again.  Total spin is read off the raising operator S+ of
+``ladder_ops`` alone: on a sector of fixed M, S^2 = S+^T S+ + M(M+1), so S^2
+is never formed as a matrix (``spectra.total_spin_of``).
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import numpy as np
 import scipy
 
 from .fock import (SectorBasis, SubspaceKind, enumerate_sector,
-                   mlm_sign_table, orbital_index, orbital_masks, pack,
-                   sector_twice_m_values)
+                   mlm_sign_table, orbital_index, orbital_masks, pack)
 from .lattice import Graph, bipartition
 
 HERMITICITY_TOL = 1e-12
@@ -209,38 +210,6 @@ def _spin_dot_terms(basis: SectorBasis, a: tuple[int, int], b: tuple[int, int]):
     return out
 
 
-def total_spin_squared(basis: SectorBasis) -> SparseOperator:
-    """Casimir S^2 = S- S+ + S3 (S3 + 1) over all spin carriers, as one real
-    sparse matrix.
-
-    S+ maps the electron factor into the sector one unit of M above (a
-    whole-space basis into itself; the top sector has no S+ term), so S- S+
-    is its transpose times itself.  The phonon factor is the identity.
-    """
-    elec = electron_basis(basis)
-    sz = magnetization_values(elec)
-    mat = scipy.sparse.diags(sz * (sz + 1.0), format="csr")
-    upper = _raised_sector(elec)
-    if upper is not None:
-        splus = assemble(upper, elec, _ladder_terms(elec, 2)).matrix
-        mat = (splus.T @ splus + mat).tocsr()
-    if basis.subspace.n_max is not None:
-        eye = scipy.sparse.identity(basis.phonon_dim, format="csr")
-        mat = scipy.sparse.kron(mat, eye, format="csr")
-    return SparseOperator(mat, basis, basis, hermitian=True)
-
-
-def _raised_sector(basis: SectorBasis) -> SectorBasis | None:
-    """The electron sector one unit of M above, ``basis`` itself if it spans
-    every M, or None at the top."""
-    if basis.twice_m is None:
-        return basis
-    target = basis.twice_m + 2
-    if target not in sector_twice_m_values(basis.graph, basis.subspace):
-        return None
-    return enumerate_sector(basis.graph, basis.subspace, m=target / 2)
-
-
 def _ladder_terms(basis: SectorBasis, delta: int):
     """S+ (delta = 2) or S- (delta = -2) as one string per spin carrier."""
     spc = basis.species_count
@@ -252,6 +221,8 @@ def ladder_ops(basis_m: SectorBasis, basis_target: SectorBasis) -> SparseOperato
     """S+ (or S-) mapping ``basis_m`` into ``basis_target``.
 
     Raising if the target sector sits one unit above, lowering if one below.
+    An empty target (no states: ``basis_m`` is the top or bottom sector) gives
+    the 0 x dim matrix.  The phonon factor is the identity.
     """
     if basis_m.subspace != basis_target.subspace or basis_m.n_electrons != basis_target.n_electrons:
         raise ValueError("sector mismatch: different subspace kinds")
@@ -261,11 +232,6 @@ def ladder_ops(basis_m: SectorBasis, basis_target: SectorBasis) -> SparseOperato
     if delta not in (2, -2):
         raise ValueError("target sector must differ by one unit of M")
     return assemble(basis_target, basis_m, _ladder_terms(basis_m, delta))
-
-
-def magnetization_values(basis: SectorBasis) -> np.ndarray:
-    counts = [np.bitwise_count(f).astype(int) for f in basis.fields()]
-    return 0.5 * (sum(counts[0::2]) - sum(counts[1::2]))
 
 
 # ---------------------------------------------------------------------------

@@ -300,21 +300,25 @@ class MixedMultipletError(ValueError):
     """The supplied vector is not an eigenvector of the Casimir operator."""
 
 
-def total_spin_of(psi: np.ndarray, s2_operator):
-    """Total spin S with S(S+1) = <psi|S^2 psi>, rejected unless an eigenvector.
+def total_spin_of(psi: np.ndarray, splus, twice_m: int):
+    """Total spin S of a vector of sector M = ``twice_m`` / 2 from the raising
+    operator ``splus`` out of it, rejected unless an eigenvector: S+ is real,
+    so S(S+1) = |S+ psi|^2 + M(M+1), with residual
+    |S+^T S+ psi - (S(S+1) - M(M+1)) psi|.
 
     Returns (twice_s, residual); ``twice_s`` is the exact twice-value integer.
     """
-    mat = _as_matrix(s2_operator)
+    mat = _as_matrix(splus)
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-8:
         psi = psi / nrm
-    s2psi = mat @ psi
-    value = float(np.real(np.vdot(psi, s2psi)))
+    raised = mat @ psi
+    m_term = 0.25 * twice_m * (twice_m + 2)
+    value = float(np.real(np.vdot(raised, raised))) + m_term
     s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * value)))
     twice_s = int(round(2 * s))
-    expected = 0.25 * twice_s * (twice_s + 2)
-    residual = float(np.linalg.norm(s2psi - expected * psi))
+    expected = 0.25 * twice_s * (twice_s + 2) - m_term
+    residual = float(np.linalg.norm(mat.T @ raised - expected * psi))
     if residual > SPIN_RESIDUAL_TOL:
         raise MixedMultipletError(
             f"not a total-spin eigenvector (residual {residual:.3e})")

@@ -14,9 +14,9 @@ lowest energy E_min(M) never falls as |M| grows, and spin flip gives sector
 sectors:
 
 - the lowest |M| (0 or 1/2), which holds one vector of every multiplet:
-  its lowest energy is E0, and the S^2 eigenvalues on its ground cluster
-  give the degeneracy sum(2S_i + 1) exactly.  It gets the uniqueness, S^2,
-  ergodicity and strict-positivity checks;
+  its lowest energy is E0, and the total spins S_i of its ground cluster
+  give the degeneracy sum(2S_i + 1) exactly.  It gets the uniqueness,
+  total-spin, ergodicity and strict-positivity checks;
 - M = S for the predicted S: its lowest energy must be E0, it gets the same
   cone checks, and its ground vector must be a highest-weight vector,
   |S+ psi| within (N_e/2 + 1)(2 max(residual)/gap + roundoff) of 0, where
@@ -28,6 +28,11 @@ sectors:
 
 Every other sector is reported as implied, with its dimension and the
 reason, and nothing is computed for it.
+
+Every spin number comes from the raising operator S+, which
+``operators.ladder_ops`` assembles once per sector that needs it.  S+ is
+real, so S^2 = S+^T S+ + M(M+1) on sector M and is never formed as a
+matrix; at the top sector S+ is the empty 0 x dim matrix and S = M.
 
 A sector's strict positivity in a diagonal cone is decided by the certified
 Perron-Frobenius margin of ``cones.strict_positivity``, from the sector
@@ -50,7 +55,8 @@ from .fock import SectorBasis, SubspaceKind, enumerate_sector, sector_dimension
 from .hamiltonians import (ModelSpec, ValidationReport, build, kondo_graphs,
                            validate)
 from .lattice import Graph, LatticeFamily, relabel, sublattice_imbalance
-from .spectra import DEGENERACY_TOL, SolverStats, ground_space, total_spin_of
+from .spectra import (DEGENERACY_TOL, SPIN_RESIDUAL_TOL, SolverStats,
+                      ground_space, total_spin_of)
 
 ENERGY_EQUALITY_RTOL = 1e-8
 SCAN_DIM_LIMIT = 100_000
@@ -253,36 +259,43 @@ def _at_ground(energy: float, e0: float) -> bool:
     return abs(energy - e0) <= ENERGY_EQUALITY_RTOL * max(1.0, abs(e0))
 
 
-def _ground_multiplets(h, gs) -> list[int]:
+def _raising(spec: ModelSpec, basis: SectorBasis, above: SectorBasis | None = None):
+    """S+ out of a solved sector into ``above``, else into the sector above
+    enumerated; the 0 x dim matrix at the top sector."""
+    if above is None:
+        tm = basis.twice_m + 2
+        above = (spec.basis(tm / 2) if tm in spec.sector_values()
+                 else dataclasses.replace(basis, twice_m=tm, words=basis.words[:0]))
+    return ops.ladder_ops(basis, above).matrix
+
+
+def _ground_multiplets(h, gs, splus) -> list[int]:
     """Twice the total spin of each multiplet on a solved sector's ground
-    cluster, ascending: the cluster is rotated to diagonalize S^2 on it, and
-    each rotated vector must be an S^2 eigenvector (``ValueError``)."""
-    s2 = ops.total_spin_squared(h.domain).matrix
+    cluster, ascending: the cluster is rotated to diagonalize S+^T S+ on it,
+    and each rotated vector must be an S^2 eigenvector (``ValueError``)."""
     v = gs.vectors
     if gs.multiplicity > 1:
-        v = v @ np.linalg.eigh(v.conj().T @ (s2 @ v))[1]
-    return [total_spin_of(v[:, i], s2)[0] for i in range(v.shape[1])]
+        w = splus @ v
+        v = v @ np.linalg.eigh(w.conj().T @ w)[1]
+    return [total_spin_of(v[:, i], splus, h.domain.twice_m)[0] for i in range(v.shape[1])]
 
 
 def _ground_summary(spec: ModelSpec, seed: int) -> tuple[float, int, int]:
     """E0, degeneracy and the largest 2S on the ground level, from the
     lowest-|M| sector alone, which holds one vector of each multiplet."""
     h, gs = _solve_sector(spec, _lowest_twice_m(spec), seed)
-    spins = _ground_multiplets(h, gs)
+    spins = _ground_multiplets(h, gs, _raising(spec, h.domain))
     return gs.energy, sum(s + 1 for s in spins), max(spins)
 
 
-def _highest_weight(h, gs, basis_up) -> tuple[float, float]:
+def _highest_weight(h, gs, splus) -> tuple[float, float]:
     """|S+ psi| of the sector's ground vector and the bound that certifies
-    S+ psi = 0; ``basis_up`` is the sector one unit of M above, or None."""
+    S+ psi = 0."""
     psi = gs.vectors[:, 0]
     scale = h.domain.n_electrons / 2 + 1           # bounds |S+| on any sector
     distance = 2 * max(gs.residuals) / gs.gap if np.isfinite(gs.gap) else 0.0
-    if basis_up is None:
-        return 0.0, scale * distance
-    splus = ops.ladder_ops(h.domain, basis_up).matrix
     # each entry of S+ psi sums at most (row length) terms
-    roundoff = max(1, int(np.diff(splus.indptr).max())) * np.finfo(float).eps
+    roundoff = int(np.diff(splus.indptr).max(initial=0)) * np.finfo(float).eps
     return float(np.linalg.norm(splus @ psi)), scale * (distance + roundoff)
 
 
@@ -291,9 +304,12 @@ def _report(spec: ModelSpec, solved, implied, validation: ValidationReport,
     failures: list[str] = []
     tm0, _, h0, gs0 = solved[0]
     e0 = gs0.energy
+    domains = {tm: h.domain for tm, _, h, _ in solved}
+    splus = {tm: _raising(spec, h.domain, domains.get(tm + 2))
+             for tm, roles, h, _ in solved if LOWEST in roles or AT_S in roles}
     twice_s, degeneracy = None, gs0.multiplicity
     try:
-        spins = _ground_multiplets(h0, gs0)
+        spins = _ground_multiplets(h0, gs0, splus[tm0])
         twice_s, degeneracy = max(spins), sum(s + 1 for s in spins)
         if len(set(spins)) > 1:
             failures.append(f"ground multiplets disagree on total spin: {spins}")
@@ -301,7 +317,6 @@ def _report(spec: ModelSpec, solved, implied, validation: ValidationReport,
         failures.append(f"sector M={tm0}/2: {exc}")
     if AT_S not in {r for _, roles, _, _ in solved for r in roles}:
         failures.append(f"predicted S={expected_twice_s / 2} names no sector M=S")
-    basis_above = next((h.domain for _, roles, h, _ in solved if ABOVE_S in roles), None)
     sector_reports = []
     consequence_mode = False
     for tm, roles, h, gs in solved:
@@ -317,7 +332,7 @@ def _report(spec: ModelSpec, solved, implied, validation: ValidationReport,
             if not _at_ground(gs.energy, e0):
                 failures.append(f"sector M={tm}/2 ({AT_S}): E_min {gs.energy:.12g} "
                                 f"is not E0 {e0:.12g}")
-            hw_norm, hw_bound = _highest_weight(h, gs, basis_above)
+            hw_norm, hw_bound = _highest_weight(h, gs, splus[tm])
             if hw_norm > hw_bound:
                 failures.append(f"sector M={tm}/2 ({AT_S}): ground vector not highest "
                                 f"weight (|S+ psi| {hw_norm:.3e} > bound {hw_bound:.3e})")
@@ -355,6 +370,9 @@ def _report(spec: ModelSpec, solved, implied, validation: ValidationReport,
     tolerances = {"energy_equality_rtol": ENERGY_EQUALITY_RTOL,
                   "sector_schedule": "SU(2): solve the lowest |M|, M=S and M=S+1 "
                                      "for the predicted S; every other sector implied",
+                  "total_spin": "S(S+1) = |S+ psi|^2 + M(M+1) on the lowest |M| sector; "
+                                "eigenvector residual within spin_residual_tol",
+                  "spin_residual_tol": SPIN_RESIDUAL_TOL,
                   "highest_weight": "|S+ psi| at M=S within (N_e/2+1)*"
                                     "(2*residual/gap + roundoff)",
                   "diagonal_strictness": "perron-frobenius margin, within "
@@ -495,7 +513,8 @@ def verify_stability_pair(spec_a: ModelSpec, spec_b: ModelSpec,
     tm = ga.vertex_count % 2 + offset
     h_a, gs_a = _solve_sector(spec_a, tm, seed)
     h_b, gs_b = _solve_sector(spec_b, tm, seed)
-    sa, sb = max(_ground_multiplets(h_a, gs_a)), max(_ground_multiplets(h_b, gs_b))
+    sa, sb = (max(_ground_multiplets(h, gs, _raising(spec, h.domain)))
+              for spec, h, gs in ((spec_a, h_a, gs_a), (spec_b, h_b, gs_b)))
     cone = make_cone(h_b.domain)
     proj = project(h_a.domain, h_b.domain, gs_a.vectors[:, 0])
     overlap = float(np.real(np.vdot(cn.gauge_fix(proj, cone),

@@ -7,7 +7,9 @@ from binomials.  Of ``edspin.fock`` only sector enumeration and the packed
 word format are used (a test keeps it so); basis rows are read as plain
 (up, dn, fup, fdn, ph) tuples.  ``full_schedule_summary`` builds and solves
 sectors with the package, but solves every one of them and counts the
-ground level across sectors, without the SU(2) argument ``verify`` rests on.
+ground level across sectors, without the SU(2) argument ``verify`` rests on,
+and reads the total spin off ``reference_total_spin_squared``, the pairwise
+sum of ``spin_dot`` instead of the raising operator ``verify`` uses.
 """
 
 from bisect import bisect_left
@@ -18,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from edspin.hamiltonians import build
-from edspin.operators import total_spin_squared
-from edspin.spectra import ground_space, total_spin_of
+from edspin.operators import spin_dot
+from edspin.spectra import SPIN_RESIDUAL_TOL, ground_space
 
 # symbolic second quantization ------------------------------------------------
 
@@ -326,6 +328,17 @@ def reference_number_values(basis, species: int = 0) -> np.ndarray:
     return out
 
 
+def reference_total_spin_squared(basis) -> sp.csr_matrix:
+    """sum_ab S_a . S_b over ordered pairs of spin carriers, from spin_dot."""
+    carriers = [(x, species) for species in range(basis.species_count)
+                for x in range(basis.n_sites)]
+    total = sp.csr_matrix((basis.dim, basis.dim))
+    for a in carriers:
+        for b in carriers:
+            total = total + spin_dot(basis, a, b).matrix
+    return total.tocsr()
+
+
 def reference_magnetization_values(basis) -> np.ndarray:
     out = np.zeros(basis.dim)
     for i, (up, dn, fup, fdn, _) in enumerate(basis_rows(basis)):
@@ -473,5 +486,9 @@ def full_schedule_summary(spec, seed: int = 0, rtol: float = 1e-8) -> tuple[floa
     ground = [(h, gs) for h, gs in solved
               if abs(gs.energy - e0) <= rtol * max(1.0, abs(e0))]
     h, gs = ground[0]
-    twice_s = total_spin_of(gs.vectors[:, 0], total_spin_squared(h.domain))[0]
+    psi = gs.vectors[:, 0]
+    s2psi = reference_total_spin_squared(h.domain) @ psi
+    value = float(psi @ s2psi)              # S(S+1)
+    assert np.linalg.norm(s2psi - value * psi) <= SPIN_RESIDUAL_TOL
+    twice_s = round(np.sqrt(1.0 + 4.0 * value) - 1.0)
     return e0, sum(g.multiplicity for _, g in ground), twice_s

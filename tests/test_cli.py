@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from edspin.cli import (EXIT_PARSE, EXIT_PASS, EXIT_THEOREM, EXIT_VALIDATION,
@@ -53,6 +54,57 @@ def test_malformed_inputs_exit_parse(tmp_path):
     cfg.write_text("model mlm\n")
     assert run(["verify", "--config", str(cfg)]) == EXIT_PARSE
     assert run(["bogus-command"]) == EXIT_PARSE
+
+
+def _error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def test_missing_config_file_exits_parse(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert run(["verify", "--config", str(missing)]) == EXIT_PARSE
+    assert str(missing) in _error_line(capsys)
+
+
+def test_missing_lattice_file_exits_parse(tmp_path, capsys):
+    missing = tmp_path / "absent.edges"
+    assert run(["verify", "--model", "mlm", "--lattice-file", str(missing)]) == EXIT_PARSE
+    assert str(missing) in _error_line(capsys)
+
+
+@pytest.mark.parametrize("flag, model", [("--t", "hubbard"), ("--U", "hubbard"),
+                                         ("--J", "heisenberg"),
+                                         ("--g", "holstein_hubbard")])
+def test_missing_coupling_file_exits_parse(tmp_path, capsys, flag, model):
+    missing = tmp_path / "absent.txt"
+    code = run(["verify", "--model", model, "--lattice", "path:2", flag,
+                f"file={missing}"])
+    assert code == EXIT_PARSE
+    assert str(missing) in _error_line(capsys)
+
+
+def test_malformed_edge_list_exits_parse(tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_text("vertices 3\n0 1 2\n")
+    assert run(["verify", "--model", "mlm", "--lattice-file", str(edges)]) == EXIT_PARSE
+    assert "malformed edge line" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("flag, model, coupling", [("--t", "hubbard", "t"),
+                                                   ("--J", "heisenberg", "j")])
+def test_coupling_asymmetric_beyond_tolerance_exits_parse(tmp_path, capsys, flag,
+                                                          model, coupling):
+    m = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+    m[1, 0] = 1 + 1e-6
+    path = tmp_path / "m.txt"
+    np.savetxt(path, m)
+    code = run(["verify", "--model", model, "--lattice", "path:4", flag, f"file={path}"])
+    assert code == EXIT_PARSE
+    assert f"coupling {coupling} must be symmetric" in _error_line(capsys)
 
 
 @pytest.mark.parametrize("key", ["k", "dense_threshold", "degeneracy_tol",

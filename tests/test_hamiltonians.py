@@ -9,7 +9,7 @@ from edspin.hamiltonians import (ModelSpec, build, coupling_matrix,
                                  kondo_graphs, u_effective, validate)
 from edspin.lattice import (Graph, bipartition, cycle_graph, grid_graph,
                             path_graph, star_graph, sublattice_imbalance)
-from edspin.operators import ladder_ops, spin_op, total_spin_squared
+from edspin.operators import ladder_ops, spin_op
 from edspin.cones import mlm_cone, nt_cone
 
 from oracles import coupled_spins_ground, heisenberg_kron, reference_config_graph
@@ -356,3 +356,26 @@ def test_model_spec_errors():
         ModelSpec("xy", g)
     with pytest.raises(ValueError, match="empty sector"):
         build(ModelSpec("mlm", g), 7)
+
+
+def _asymmetric(g, x, y, value):
+    m = nn(g)
+    m[x, y] = value
+    return m
+
+
+def test_model_spec_holds_one_symmetry_tolerance():
+    """A coupling is refused when max|m - m^T| exceeds 1e-12 max(1, max|m|),
+    with no per-entry relative slack, and stored as (m + m^T)/2 otherwise,
+    so `validate` and `build` accept every spec `ModelSpec` accepts."""
+    p4, g22 = path_graph(4), grid_graph(2, 2)
+    with pytest.raises(ValueError, match="coupling t must be symmetric"):
+        ModelSpec("hubbard", p4, t=_asymmetric(p4, 1, 0, 1 + 1e-6), u=4.0 * np.eye(4))
+    with pytest.raises(ValueError, match="coupling j must be symmetric"):
+        ModelSpec("heisenberg", p4, j=_asymmetric(p4, 1, 0, 1 + 1e-6))
+    spec = ModelSpec("hubbard_nt", g22, t=_asymmetric(g22, 0, 3, 5e-13))
+    assert np.array_equal(spec.t, spec.t.T) and spec.t[3, 0] == 2.5e-13
+    assert validate(spec).ok
+    build(spec, 0.5)
+    symmetric = nn(p4)
+    assert np.array_equal(ModelSpec("heisenberg", p4, j=symmetric).j, symmetric)

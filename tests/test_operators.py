@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,11 +11,11 @@ from edspin.lattice import bipartition, grid_graph, path_graph, star_graph
 from edspin.operators import (SparseOperator, annihilation_matrix, coulomb,
                               creation_matrix, electron_basis, embed_isometry,
                               full_fock_basis, gutzwiller, hole_particle,
-                              hopping, ladder_ops, magnetization_values,
-                              nesting_projection, phonon_ops, spin_dot,
-                              spin_op, total_spin_squared)
+                              hopping, ladder_ops, nesting_projection,
+                              phonon_ops, spin_dot, spin_op)
 
-from oracles import basis_rows
+from oracles import (basis_rows, reference_magnetization_values,
+                     reference_total_spin_squared)
 
 
 def single_site_basis():
@@ -42,14 +44,30 @@ def test_spin_commutation_relations():
             assert np.allclose(s1 @ s2 - s2 @ s1, 1j * s3, atol=1e-12)
 
 
+def _above(basis):
+    """The sector one unit of M above ``basis``; at the top, the empty one."""
+    tm = basis.twice_m + 2
+    if tm in sector_twice_m_values(basis.graph, basis.subspace):
+        return enumerate_sector(basis.graph, basis.subspace, m=tm / 2)
+    return dataclasses.replace(basis, twice_m=tm, words=basis.words[:0])
+
+
+def ladder_s2(basis) -> np.ndarray:
+    """S^2 = S+^T S+ + M(M+1) on a fixed-M sector, from ``ladder_ops``."""
+    splus = ladder_ops(basis, _above(basis)).matrix
+    m = basis.twice_m / 2
+    return (splus.T @ splus).toarray() + m * (m + 1) * np.eye(basis.dim)
+
+
 def test_total_spin_squared_two_site():
-    basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
-    s2 = total_spin_squared(basis).dense()
-    vals = np.sort(np.linalg.eigvalsh(s2))
+    kind = SubspaceKind.single_occupancy()
+    vals = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(ladder_s2(enumerate_sector(path_graph(2), kind, m=tm / 2)))
+         for tm in sector_twice_m_values(path_graph(2), kind)]))
     assert np.allclose(vals, [0.0, 2.0, 2.0, 2.0], atol=1e-12)
     # singlet expectation
-    m0 = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy(), m=0)
-    s2m = total_spin_squared(m0).dense()
+    m0 = enumerate_sector(path_graph(2), kind, m=0)
+    s2m = ladder_s2(m0)
     up_dn, dn_up = m0.lookup(pack((np.uint64([0b01, 0b10]), np.uint64([0b10, 0b01])), 2))
     singlet = np.zeros(2)
     singlet[up_dn], singlet[dn_up] = 1, -1
@@ -57,20 +75,8 @@ def test_total_spin_squared_two_site():
     assert abs(singlet @ s2m @ singlet) < 1e-12
 
 
-def pairwise_spin_squared(basis) -> np.ndarray:
-    """sum_ab S_a . S_b over ordered pairs of spin carriers, from spin_dot."""
-    carriers = [(x, species) for species in range(basis.species_count)
-                for x in range(basis.n_sites)]
-    total = sp.csr_matrix((basis.dim, basis.dim))
-    for a in carriers:
-        for b in carriers:
-            total = total + spin_dot(basis, a, b).matrix
-    return total.toarray()
-
-
 def _s2_bases():
     p3, g22 = path_graph(3), grid_graph(2, 2)
-    yield enumerate_sector(p3, SubspaceKind.single_occupancy())       # whole space
     for kind, g in ((SubspaceKind.single_occupancy(), p3),
                     (SubspaceKind.full(3), p3),
                     (SubspaceKind.full(2), p3),
@@ -80,13 +86,14 @@ def _s2_bases():
                     (SubspaceKind.full(2, n_max=2), path_graph(2))):
         for tm in sector_twice_m_values(g, kind):
             yield enumerate_sector(g, kind, m=tm / 2)
-    yield full_fock_basis(path_graph(2))
 
 
 def test_ladder_form_s2_equals_pairwise_sum():
+    """S+^T S+ + M(M+1) from ``ladder_ops`` is the pairwise sum of S_a . S_b
+    on every fixed-M sector, the top one (empty S+) included."""
     for basis in _s2_bases():
-        ladder = total_spin_squared(basis).matrix.toarray()
-        assert np.array_equal(ladder, pairwise_spin_squared(basis)), basis.subspace
+        reference = reference_total_spin_squared(basis).toarray()
+        assert np.array_equal(ladder_s2(basis), reference), basis.subspace
 
 
 def test_electron_basis_drops_phonon_occupancies():
@@ -117,9 +124,12 @@ def test_ladder_examples():
     assert np.allclose(np.sort(raise_from_bottom.ravel()), [1.0, 1.0])
     # S- S+ + S3^2 + S3 = S^2 on the M=0 sector
     sminus = ladder_ops(b_1, b_0).matrix
-    s2 = total_spin_squared(b_0).dense()
+    s2 = reference_total_spin_squared(b_0).toarray()
     lhs = (sminus @ sp_up).toarray()
     assert np.allclose(lhs, s2, atol=1e-12)
+    # into the empty sector above the top one, S+ is the 0 x dim matrix
+    empty = dataclasses.replace(b_1, twice_m=4, words=b_1.words[:0])
+    assert ladder_ops(b_1, empty).matrix.shape == (0, 1)
     # adjointness
     assert np.allclose(ladder_ops(b_0, b_1).matrix.toarray(),
                        ladder_ops(b_1, b_0).matrix.toarray().T, atol=1e-14)
@@ -162,7 +172,7 @@ def test_heisenberg_bond_spectrum():
     bond = spin_dot(basis, (0, 0), (1, 0)).dense()
     vals = np.sort(np.linalg.eigvalsh(bond))
     assert np.allclose(vals, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
-    s2 = total_spin_squared(basis).dense()
+    s2 = reference_total_spin_squared(basis).toarray()
     assert np.abs(bond @ s2 - s2 @ bond).max() < 1e-12
 
 
@@ -190,7 +200,7 @@ def test_hole_particle_identities(k):
         assert np.abs(w @ cdn @ w.T - gamma * cdn_dag).max() < 1e-14
         cup = annihilation_matrix(fb, fb, x, 0).dense()
         assert np.abs(w @ cup @ w.T - cup).max() < 1e-14
-    s3 = np.diag(magnetization_values(fb))
+    s3 = np.diag(reference_magnetization_values(fb))
     up, dn = fb.fields()
     n_el = np.bitwise_count(up).astype(int) + np.bitwise_count(dn)
     half_n = np.diag((n_el - k) / 2)
@@ -346,7 +356,7 @@ def test_whole_basis_assembly_matches_per_state_reference(case, monkeypatch):
                       if t in sector_twice_m_values(basis.graph, kind)]
 
     def composed():
-        out = {"S2": total_spin_squared(basis).matrix}
+        out = {}
         if spec is not None:
             out["H"] = build(spec, m).matrix
         for other in neighbours:
@@ -357,8 +367,6 @@ def test_whole_basis_assembly_matches_per_state_reference(case, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(operators, "assemble", oracles.reference_assemble)
         patch.setattr(operators, "number_values", oracles.reference_number_values)
-        patch.setattr(operators, "magnetization_values",
-                      oracles.reference_magnetization_values)
         ref = composed()
     for name in new:
         _assert_same_csr(new[name], ref[name], name)

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from edspin.fock import SubspaceKind, enumerate_sector
 from edspin.hamiltonians import ModelSpec, build, coupling_matrix
 from edspin.lattice import grid_graph, path_graph, star_graph
-from edspin.operators import ladder_ops, spin_dot, total_spin_squared
+from edspin.operators import ladder_ops, spin_dot
 from edspin import spectra
 from edspin.spectra import (MixedMultipletError, SolverError, dense_eigensolve,
                             ground_space, lanczos_ground, total_spin_of)
@@ -291,16 +291,22 @@ def test_ground_space_examples():
 
 
 def test_total_spin_of():
-    basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
-    s2 = total_spin_squared(basis)
-    vals, vecs = dense_eigensolve(spin_dot(basis, (0, 0), (1, 0)))
-    twice_s, res = total_spin_of(vecs[:, 0], s2)
+    """S(S+1) = |S+ psi|^2 + M(M+1): the singlet and the M=0 triplet vector
+    of two sites from S+ into M=1, the M=1 triplet vector from the empty S+
+    of the top sector."""
+    kind = SubspaceKind.single_occupancy()
+    b_0, b_1 = (enumerate_sector(path_graph(2), kind, m=m) for m in (0, 1))
+    splus = ladder_ops(b_0, b_1)
+    vals, vecs = dense_eigensolve(spin_dot(b_0, (0, 0), (1, 0)))
+    twice_s, res = total_spin_of(vecs[:, 0], splus, 0)
     assert twice_s == 0 and res < 1e-10
-    twice_s, _ = total_spin_of(vecs[:, -1], s2)
+    twice_s, _ = total_spin_of(vecs[:, -1], splus, 0)
     assert twice_s == 2
     mixed = (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2)
     with pytest.raises(MixedMultipletError):
-        total_spin_of(mixed, s2)
+        total_spin_of(mixed, splus, 0)
+    top = sp.csr_matrix((0, b_1.dim))
+    assert total_spin_of(np.ones(1), top, 2) == (2, 0.0)
 
 
 def test_cross_sector_energy_equality_and_ladder_closure():

@@ -82,6 +82,17 @@ def test_verify_nt_square_and_path_counterexample():
     assert "configuration-graph-connected" in str(err.value)
 
 
+def test_verify_nt_square_with_an_asymmetry_within_tolerance():
+    """t[0, 3] = 5e-13 with t[3, 0] = 0 is symmetric within the tolerance of
+    `ModelSpec`, which stores the average, so `verify` runs to its verdict."""
+    gsq = grid_graph(2, 2)
+    t = nn(gsq)
+    t[0, 3] = 5e-13
+    report = verify_nt_class(ModelSpec("hubbard_nt", gsq, t=t))
+    assert report.verdict == "pass"
+    assert report.twice_s_computed == 3 and report.degeneracy == 4
+
+
 def test_verify_kondo_signs():
     g2 = path_graph(2)
     report = verify_kondo(ModelSpec("kondo", g2, t=nn(g2), j_kondo=1.0))
@@ -116,26 +127,43 @@ def test_one_solve_per_sector(monkeypatch):
 
 
 def test_one_enumeration_per_sector(monkeypatch):
-    """`verify` enumerates each sector basis once inside `build`; on phonon
-    models the phonon factor is a Kronecker factor, never enumerated."""
-    import edspin.hamiltonians
-    calls = []
+    """With S_pred at most the lowest |M| + 1, `verify` enumerates each solved
+    sector once, inside `build`, and nothing else: S+ maps into a solved
+    sector.  It assembles S+ once for each of the lowest |M| and M = S, one
+    matrix when they coincide.  On phonon models the phonon factor is a
+    Kronecker factor, never enumerated."""
+    import sys
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return enumerate_sector(*args, **kwargs)
+    import edspin.operators
+    calls = {"enumerate": 0, "ladder": 0}
 
-    monkeypatch.setattr(edspin.hamiltonians, "enumerate_sector", counted)
-    g2, g4 = path_graph(2), path_graph(4)
-    for verify, spec, per_sector in (
-            (verify_mlm_class, ModelSpec("heisenberg", g4, j=nn(g4)), 1),
-            (verify_kondo, ModelSpec("kondo", g2, t=nn(g2), j_kondo=1.0), 1),
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("edspin") and hasattr(m, "enumerate_sector")]:
+        monkeypatch.setattr(module, "enumerate_sector",
+                            counted("enumerate", enumerate_sector))
+    monkeypatch.setattr(edspin.operators, "ladder_ops",
+                        counted("ladder", edspin.operators.ladder_ops))
+    g2, g4, s3 = path_graph(2), path_graph(4), star_graph(3)
+    for verify, spec in (
+            (verify_mlm_class, ModelSpec("heisenberg", g4, j=nn(g4))),
+            (verify_mlm_class, ModelSpec("mlm", s3)),
+            (verify_kondo, ModelSpec("kondo", g2, t=nn(g2), j_kondo=1.0)),
             (verify_mlm_class, ModelSpec("holstein_hubbard", g2, t=nn(g2),
                                          u=4.0 * np.eye(2), g_ep=0.5 * np.eye(2),
-                                         omega=1.0, n_max=4), 1)):
-        calls.clear()
+                                         omega=1.0, n_max=4))):
+        calls.update(enumerate=0, ladder=0)
         report = verify(spec)
-        assert report.ok and len(calls) == per_sector * len(report.solved)
+        spin_sectors = [s for s in report.solved
+                        if LOWEST in s.roles or AT_S in s.roles]
+        assert report.ok
+        assert calls == {"enumerate": len(report.solved),
+                         "ladder": len(spin_sectors)}, spec.model
 
 
 def test_verify_kondo_keeps_projected_failures_of_a_failed_report(monkeypatch):
@@ -168,6 +196,8 @@ def _verify_cases():
         "holstein_hubbard", p2, t=nn(p2), u=4.0 * np.eye(2), g_ep=0.5 * np.eye(2),
         omega=1.0, n_max=4)
     yield "hubbard_nt grid:2x2", verify_nt_class, ModelSpec("hubbard_nt", g22, t=nn(g22))
+    # the lowest |M| is the top sector: S+ is empty there
+    yield "hubbard_nt path:2", verify_nt_class, ModelSpec("hubbard_nt", p2, t=nn(p2))
     for g, name, j_kondo in ((p2, "path:2", 1.0), (p2, "path:2", -1.0),
                              (s3, "star:3", -1.0)):
         yield (f"kondo {name} J={j_kondo:+g}", verify_kondo,
@@ -285,6 +315,13 @@ def test_report_names_each_strictness_rule():
                    for s in doc["sectors"])
         assert doc["tolerances"]["strictness_tol"] == STRICT_TOL
         assert "perron-frobenius" in doc["tolerances"]["diagonal_strictness"]
+
+
+def test_tolerances_name_the_total_spin_rule():
+    from edspin.spectra import SPIN_RESIDUAL_TOL
+    tolerances = verify_mlm_class(ModelSpec("mlm", path_graph(2))).to_dict()["tolerances"]
+    assert "|S+ psi|^2 + M(M+1)" in tolerances["total_spin"]
+    assert tolerances["spin_residual_tol"] == SPIN_RESIDUAL_TOL
 
 
 def test_tolerances_say_what_the_certified_bounds_do_not_cover():
