@@ -1,7 +1,7 @@
 """Eigensolvers and spin-resolved ground-space extraction.
 
 Dense diagonalization handles every sector up to ``DENSE_PREFERENCE`` = 400
-states; above it, a Lanczos iteration with full reorthogonalization and
+states; above it, a Lanczos iteration with partial reorthogonalization and
 repeated deflation extracts the lowest eigenpairs.  The routing threshold and
 the tolerances are module constants.  Both routes are deterministic: the
 Lanczos start vectors come from a seeded generator.
@@ -16,16 +16,15 @@ it.  Its reconstruction check holds each returned pair to
 whole spectrum.  Each Lanczos convergence check takes only the lowest
 eigenpair of the j x j tridiagonal matrix, in O(j).
 
-``ground_space`` per sector, best of five, in ms (one-hole sectors marked
-NT; one core of a 2-vCPU x86-64 host), with the full dense spectrum that
-the dense route computed before it solved only the lowest pairs:
+``ground_space`` per sector in ms, best of fifteen, the lower of two runs
+(one-hole sectors marked NT; one core of a shared 2-vCPU x86-64 host, where
+repeated runs differ by up to a third):
 
     states      220   364   400   495  504 NT  630 NT  792   924   1001
-    dense       1.8   5.3   6.5  10.9    11.3    19.9   40    69     88
-    Lanczos     2.7   2.9   4.0   2.9     7.3     9.4  3.4   3.6    5.2
-    full eigh   5.2  17.8  21.8  38.5    36.3    63.8  125   181    248
+    dense       2.2   5.7   8.1  12.8    12.1    22.7  35    58     71
+    Lanczos     4.4   3.8   7.2   4.1     8.2    12.8  4.2   4.3    8.2
 
-Lanczos is faster at every size.  The threshold stays at 400 because
+Lanczos is faster from 364 states on.  The threshold stays at 400 because
 ``perfbench/suite.py`` checks that the psd_cone workload, whose Hubbard
 sectors have at most 400 states, runs no Krylov solve, and because a
 Lanczos vector is accurate to its residual, not in each tiny component.
@@ -41,11 +40,19 @@ densely when the sector is within ``DENSE_THRESHOLD`` and raises
 
 The Krylov basis and the deflated vectors are stored one vector per row, so
 that projecting a new Lanczos vector off them streams contiguous memory and
-only the rows written so far become resident.  Reorthogonalization follows
-the rule of Daniel, Gragg, Kaufman and Stewart: one Gram-Schmidt pass, and a
-second only when the first cut the vector's norm below 1/sqrt(2) of its
-value before.  Each ``GroundSpace`` records its route and, on the Lanczos
-route, the steps and restarts it took.
+only the rows written so far become resident; one basis buffer serves every
+sweep and restart of a ``lanczos_ground`` call.  Each new vector is projected
+off the deflated vectors, and off its own Krylov basis only when needed:
+partial reorthogonalization (Simon, Math. Comp. 42, 115 (1984)) carries
+estimates of its overlaps with the basis vectors by the three-term
+recurrence those overlaps obey, and projects it, and the vector after it, off
+the whole basis when one estimate exceeds ``SEMI_ORTHOGONALITY`` = sqrt(eps).
+Such a semi-orthogonal basis gives Ritz values correct to working precision.
+Each projection follows the rule of Daniel, Gragg, Kaufman and Stewart: one
+Gram-Schmidt pass, and a second only when the first cut the vector's norm
+below 1/sqrt(2) of its value before.  Each ``GroundSpace`` records its route
+and, on the Lanczos route, the steps, restarts and passes over the whole
+basis it took.
 """
 
 from dataclasses import dataclass
@@ -59,6 +66,7 @@ LANCZOS_TOL = 1e-8
 DEGENERACY_TOL = 1e-7
 MAX_MULTIPLICITY = 16         # largest ground cluster the Krylov route resolves
 SPIN_RESIDUAL_TOL = 1e-6      # |S^2 psi - S(S+1) psi| allowed for an eigenvector
+SEMI_ORTHOGONALITY = np.sqrt(np.finfo(float).eps)  # largest estimated Krylov overlap
 DEFAULT_SEED = 20240901
 
 
@@ -102,7 +110,7 @@ def dense_eigensolve(h, threshold: int = DENSE_THRESHOLD, k: int | None = None):
 def lanczos_ground(h, k: int = 1, seed: int = DEFAULT_SEED, tol: float = LANCZOS_TOL,
                    max_iter: int = 400, max_restarts: int = 60,
                    counts: dict | None = None, cluster_tol: float | None = None):
-    """Lowest ``k`` eigenpairs by Lanczos with full reorthogonalization.
+    """Lowest ``k`` eigenpairs by Lanczos with partial reorthogonalization.
 
     Multiplicities are resolved by deflation: each converged vector is
     projected out of all later Krylov spaces, one sweep per vector, all
@@ -111,8 +119,10 @@ def lanczos_ground(h, k: int = 1, seed: int = DEFAULT_SEED, tol: float = LANCZOS
     sweeps stop early, after the first one that lands more than
     ``cluster_tol * max(1, |lowest|)`` above the lowest value found: the
     ground cluster and the next level.  When ``counts`` is given, its
-    integer ``"steps"`` (Lanczos steps, one matvec each) and ``"restarts"``
-    entries are increased by this call's totals.
+    integer ``"steps"`` (Lanczos steps, one matvec each), ``"restarts"`` and
+    ``"reorthogonalizations"`` (passes over the whole Krylov basis) entries
+    are increased by this call's totals.  Every sweep and restart writes its
+    Krylov basis into one buffer of ``min(max_iter, n)`` rows.
     """
     mat = _as_matrix(h)
     n = mat.shape[0]
@@ -120,20 +130,21 @@ def lanczos_ground(h, k: int = 1, seed: int = DEFAULT_SEED, tol: float = LANCZOS
         raise ValueError("k must be >= 1")
     k = min(k, n)
     rng = np.random.default_rng(seed)
+    q = np.empty((max(1, min(max_iter, n)), n))     # Krylov basis, one vector per row
     found_vals: list[float] = []
-    found = np.empty((0, n))            # converged vectors, one per row
-    for _ in range(k):
+    found = np.empty((k, n))            # converged vectors, one per row
+    for i in range(k):
         v0 = rng.standard_normal(n)
-        nrm = _orthogonalize(v0, found)
+        nrm = _orthogonalize(v0, found[:i])
         if nrm < 1e-12:
             raise SolverError("deflated start vector vanished")
-        theta, vec, steps, restarts = _lanczos_one(mat, v0 / nrm, found, tol, max_iter,
-                                                   max_restarts, rng)
+        theta, found[i], steps, restarts, passes = _lanczos_one(
+            mat, v0 / nrm, found[:i], q, tol, max_iter, max_restarts, rng)
         if counts is not None:
             counts["steps"] += steps
             counts["restarts"] += restarts
+            counts["reorthogonalizations"] += passes
         found_vals.append(theta)
-        found = np.vstack([found, vec])
         if cluster_tol is not None and _above_cluster(found_vals, cluster_tol):
             break
     order = np.argsort(found_vals)
@@ -168,30 +179,49 @@ def _orthogonalize(w: np.ndarray, *blocks: np.ndarray) -> float:
     return nrm
 
 
-def _lanczos_one(mat, v0, deflate, tol, max_iter, max_restarts, rng):
-    """One deflated Lanczos sweep with restarts; returns (theta, vector,
-    steps, restarts).  ``deflate`` and the Krylov basis hold one vector per
-    row."""
+def _lanczos_one(mat, v0, deflate, q, tol, max_iter, max_restarts, rng):
+    """One deflated Lanczos sweep with restarts, its Krylov basis written to
+    the rows of ``q``; returns (theta, vector, steps, restarts, passes), where
+    ``passes`` counts the projections off the whole basis.
+
+    Each new vector is projected off the rows of ``deflate``; off the basis
+    only when Simon's estimate of its overlaps with the basis vectors exceeds
+    ``SEMI_ORTHOGONALITY``, and then the vector after it as well."""
     n = mat.shape[0]
     limit = max(1, min(max_iter, n - len(deflate)))
     check_every = 10
+    roundoff = np.finfo(float).eps * np.sqrt(n)
+    # Simon's estimates of q_i . q_k for the last three i, q_k's in column
+    # k + 1; column 0 stands for the absent q_{-1} and stays 0
+    prev, cur, nxt = np.zeros((3, limit + 2))
+    hnorm = 0.0                     # running max of |alpha_j| + beta_j
     v = v0
     res = np.inf
-    steps = 0
+    steps = passes = 0
     for restart in range(max_restarts):
-        q = np.empty((limit, n))
         alphas = np.empty(limit)
-        betas = np.empty(limit)
+        bpad = np.zeros(limit + 1)  # beta_{j-1} at j: 0 before q_0
+        betas = bpad[1:]
         w = v.copy()
+        forced = False
         j = 0
         while j < limit:
-            nrm = _orthogonalize(w, deflate, q[:j])
+            full = forced or (j > 0 and np.abs(cur[1:j + 1]).max() > SEMI_ORTHOGONALITY)
+            nrm = _orthogonalize(w, deflate, q[:j]) if full else _orthogonalize(w, deflate)
             if nrm < 1e-12:
                 # invariant subspace: inject a deterministic fresh direction
                 w = rng.standard_normal(n)
                 nrm = _orthogonalize(w, deflate, q[:j])
                 if nrm < 1e-12:
                     break
+                full = True
+            # Simon's rule: the vector after one the estimate sent off the
+            # basis goes off it too
+            forced = full and not forced
+            if full and j:
+                passes += 1
+                cur[1:j + 1] = roundoff
+            cur[j + 1] = 1.0
             w /= nrm
             q[j] = w
             hw = mat @ w
@@ -200,6 +230,7 @@ def _lanczos_one(mat, v0, deflate, tol, max_iter, max_restarts, rng):
             if j:
                 w -= betas[j - 1] * q[j - 1]
             betas[j] = np.linalg.norm(w)
+            hnorm = max(hnorm, abs(alphas[j]) + betas[j])
             j += 1
             if j % check_every == 0 or j == limit or betas[j - 1] < 1e-12:
                 theta, y = _lowest_ritz(alphas[:j], betas[:j - 1])
@@ -208,6 +239,18 @@ def _lanczos_one(mat, v0, deflate, tol, max_iter, max_restarts, rng):
                     break
                 if betas[j - 1] < 1e-12:
                     break
+            if j < limit:
+                # the overlaps of the next vector with q_0 .. q_{j-1} from
+                # its three-term recurrence, each grown by one step's rounding
+                t = nxt[1:j]
+                np.multiply(alphas[:j - 1] - alphas[j - 1], cur[1:j], out=t)
+                t += bpad[1:j] * cur[2:j + 1]
+                t += bpad[:j - 1] * cur[:j - 1]
+                t -= bpad[j - 1] * prev[1:j]
+                t += np.copysign(roundoff * hnorm, t)
+                t /= betas[j - 1]
+                nxt[j] = roundoff * hnorm / betas[j - 1]
+                prev, cur, nxt = cur, nxt, prev
         if j == 0:
             raise SolverError("Lanczos basis collapsed")
         steps += j
@@ -216,7 +259,7 @@ def _lanczos_one(mat, v0, deflate, tol, max_iter, max_restarts, rng):
         ritz /= np.linalg.norm(ritz)
         res = float(np.linalg.norm(mat @ ritz - theta * ritz))
         if res <= tol * max(1.0, abs(theta)):
-            return theta, ritz, steps, restart
+            return theta, ritz, steps, restart, passes
         v = ritz
     raise SolverError(
         f"Lanczos failed to converge after {max_restarts} restarts", res)
@@ -237,11 +280,13 @@ def _lowest_ritz(alphas: np.ndarray, betas: np.ndarray):
 @dataclass(frozen=True)
 class SolverStats:
     """Which route solved a sector and, on the Lanczos route, the steps
-    (one matvec each) and restarts summed over every deflation sweep."""
+    (one matvec each), restarts and passes over the whole Krylov basis,
+    summed over every deflation sweep."""
 
     route: str                     # "dense" or "lanczos"
     steps: int = 0
     restarts: int = 0
+    reorthogonalizations: int = 0  # passes over the whole Krylov basis
 
 
 @dataclass(frozen=True)
@@ -269,7 +314,7 @@ def ground_space(h, seed: int = DEFAULT_SEED) -> GroundSpace:
     solver = SolverStats("dense")
     k = min(n, 2)
     if n > DENSE_PREFERENCE:
-        counts = {"steps": 0, "restarts": 0}
+        counts = {"steps": 0, "restarts": 0, "reorthogonalizations": 0}
         vals, vecs = lanczos_ground(mat, k=MAX_MULTIPLICITY + 1, seed=seed,
                                     counts=counts, cluster_tol=DEGENERACY_TOL)
         if _above_cluster(vals, DEGENERACY_TOL):

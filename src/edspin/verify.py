@@ -381,6 +381,11 @@ def _report(spec: ModelSpec, solved, implied, validation: ValidationReport,
                                          "expected: positivity comes from the "
                                          "nonnegative iteration, the bound only "
                                          "certifies agreement with the solved vector",
+                  "krylov_orthogonality": "Krylov basis kept semi-orthogonal, "
+                                          "|q_i . q_k| <= sqrt(eps), by Simon's "
+                                          "estimate (partial reorthogonalization); "
+                                          "deflated vectors orthogonal to working "
+                                          "precision",
                   "gap": "every certified bound divides by the Lanczos gap, a Ritz "
                          "value minus E0; a deflated sweep that missed lambda_2 "
                          "overstates it",

@@ -18,7 +18,8 @@ def test_verify_mlm_star_exit_zero(tmp_path):
     assert report["global"]["S_computed"] == 1.0
     assert report["verdict"] == "pass"
     assert report["sectors"][0]["solver"] == {"route": "dense", "steps": 0,
-                                              "restarts": 0}
+                                              "restarts": 0,
+                                              "reorthogonalizations": 0}
 
 
 def test_verify_table_shows_the_strictness_bound(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from edspin.fock import SubspaceKind, enumerate_sector
 from edspin.hamiltonians import ModelSpec, build, coupling_matrix
@@ -92,12 +93,13 @@ def test_lanczos_nonconvergence_reports_residual():
 
 
 def _spy_orthogonalize(monkeypatch):
-    """Record each ``_orthogonalize`` call's blocks and returned norm."""
+    """Record each ``_orthogonalize`` call's blocks, copied at the call (the
+    Krylov buffer is reused), and its returned norm."""
     calls = []
 
     def spy(w, *blocks):
         nrm = orthogonalize(w, *blocks)
-        calls.append((blocks, nrm))
+        calls.append((tuple(rows.copy() for rows in blocks), nrm))
         return nrm
 
     orthogonalize = spectra._orthogonalize
@@ -105,24 +107,72 @@ def _spy_orthogonalize(monkeypatch):
     return calls
 
 
-def test_krylov_basis_stays_orthonormal_on_clustered_spectrum(monkeypatch):
+def _spy_sweeps(monkeypatch):
+    """Record each restart-free Lanczos sweep's Krylov basis, copied when the
+    sweep ends, before the next one overwrites the shared buffer."""
+    bases = []
+
+    def spy(mat, v0, deflate, q, *args):
+        out = lanczos_one(mat, v0, deflate, q, *args)
+        _, _, steps, restarts, _ = out
+        assert restarts == 0
+        bases.append(q[:steps].copy())
+        return out
+
+    lanczos_one = spectra._lanczos_one
+    monkeypatch.setattr(spectra, "_lanczos_one", spy)
+    return bases
+
+
+def _clustered_spectrum():
     # a tight cluster at the bottom makes Lanczos run long, where a basis
     # without reorthogonalization loses orthogonality
     rng = np.random.default_rng(4)
     n = 300
     vals = np.concatenate([1e-4 * rng.random(6), 1.0 + rng.random(n - 6)])
     rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    h = sp.csr_matrix(rot @ np.diag(vals) @ rot.T)
+    return sp.csr_matrix(rot @ np.diag(vals) @ rot.T), vals
+
+
+def _orthogonality_loss(rows):
+    return np.abs(rows @ rows.T - np.eye(len(rows))).max()
+
+
+SQRT_EPS = np.sqrt(np.finfo(float).eps)
+
+
+def test_krylov_basis_stays_orthonormal_on_clustered_spectrum(monkeypatch):
+    """Partial reorthogonalization keeps every sweep's basis semi-orthogonal,
+    |q_i . q_k| <= sqrt(eps), with some but not all steps paying a pass over
+    the whole basis."""
+    h, vals = _clustered_spectrum()
     calls = _spy_orthogonalize(monkeypatch)
-    lvals, _ = lanczos_ground(h, k=3, seed=8)
+    bases = _spy_sweeps(monkeypatch)
+    counts = {"steps": 0, "restarts": 0, "reorthogonalizations": 0}
+    lvals, _ = lanczos_ground(h, k=3, seed=8, counts=counts)
     assert np.allclose(lvals, np.sort(vals)[:3], atol=1e-9)
-    checked = 0
-    for blocks, _ in calls:
-        if len(blocks) == 2 and len(blocks[1]) >= 40:
-            rows = np.vstack(blocks)
-            assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
-            checked += 1
-    assert checked
+    assert spectra.SEMI_ORTHOGONALITY == SQRT_EPS
+    assert len(bases) == 3
+    for basis in bases:
+        assert _orthogonality_loss(basis) <= SQRT_EPS
+    passes = [blocks[1] for blocks, _ in calls if len(blocks) == 2 and len(blocks[1])]
+    for basis in passes:
+        assert _orthogonality_loss(basis) <= SQRT_EPS
+    assert len(passes) == counts["reorthogonalizations"]
+    assert 0 < counts["reorthogonalizations"] < counts["steps"]
+
+
+def test_krylov_basis_loses_orthogonality_without_partial_reorthogonalization(
+        monkeypatch):
+    """The trigger has teeth: with the estimate never acted on, the first
+    sweep on the clustered spectrum (50 steps) loses semi-orthogonality."""
+    h, _ = _clustered_spectrum()
+    bases = _spy_sweeps(monkeypatch)
+    monkeypatch.setattr(spectra, "SEMI_ORTHOGONALITY", np.inf)
+    counts = {"steps": 0, "restarts": 0, "reorthogonalizations": 0}
+    lanczos_ground(h, k=1, seed=8, counts=counts)
+    assert counts["reorthogonalizations"] == 0 and len(bases[0]) == 50
+    assert _orthogonality_loss(bases[0]) > SQRT_EPS
 
 
 def test_orthogonalize_second_pass_after_a_large_norm_drop():
@@ -152,8 +202,9 @@ def test_lanczos_injects_a_fresh_direction_in_an_invariant_subspace(monkeypatch)
     v0 = np.eye(6)[1] - u[1] * u
     v0 /= np.linalg.norm(v0)
     calls = _spy_orthogonalize(monkeypatch)
-    theta, vec, steps, _ = spectra._lanczos_one(mat, v0, u[None, :], spectra.LANCZOS_TOL,
-                                                400, 60, np.random.default_rng(1))
+    theta, vec, steps, _, _ = spectra._lanczos_one(
+        mat, v0, u[None, :], np.empty((5, 6)), spectra.LANCZOS_TOL, 400, 60,
+        np.random.default_rng(1))
     assert any(nrm < 1e-12 for _, nrm in calls)
     # the sweep went on from the injected direction to span u's complement
     assert steps == 5
@@ -172,10 +223,38 @@ def test_lanczos_injects_a_fresh_direction_in_an_invariant_subspace(monkeypatch)
 def test_ground_space_records_its_solver():
     basis = enumerate_sector(path_graph(2), SubspaceKind.single_occupancy())
     bond = spin_dot(basis, (0, 0), (1, 0))
-    assert ground_space(bond).solver == spectra.SolverStats("dense")
+    assert ground_space(bond).solver == spectra.SolverStats("dense", 0, 0, 0)
     d = sp.diags(np.arange(spectra.DENSE_PREFERENCE + 1.0))
     solver = ground_space(d).solver
     assert solver.route == "lanczos" and solver.steps > 0 and solver.restarts == 0
+    assert 0 <= solver.reorthogonalizations < solver.steps
+
+
+@st.composite
+def _planted_ground_clusters(draw):
+    """A spectrum of n in 401-700 values whose lowest, e0, is planted with
+    multiplicity 1-4 a gap >= 0.05 below the rest, rotated by a random
+    orthogonal matrix."""
+    n = draw(st.integers(spectra.DENSE_PREFERENCE + 1, 700))
+    mult = draw(st.integers(1, 4))
+    gap = draw(st.floats(0.05, 1.0))
+    e0 = draw(st.floats(-1.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.r_[np.full(mult, e0), e0 + gap, e0 + gap + 2.0 * rng.random(n - mult - 1)]
+    rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    h = (rot * vals) @ rot.T
+    return (h + h.T) / 2, mult
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(_planted_ground_clusters())
+def test_krylov_route_finds_a_planted_ground_cluster(planted):
+    h, mult = planted
+    gs = ground_space(h)
+    assert gs.solver.route == "lanczos" and gs.multiplicity == mult
+    assert abs(gs.energy - np.linalg.eigvalsh(h)[0]) <= 1e-10
+    assert max(gs.residuals) <= spectra.LANCZOS_TOL
+    assert np.abs(gs.vectors.T @ gs.vectors - np.eye(mult)).max() <= 1e-12
 
 
 def _degenerate_bottom(n: int, mult: int):
@@ -200,7 +279,7 @@ def test_krylov_route_runs_one_sweep_per_vector(mult):
     not a fresh call at each doubling of the block."""
     d = _degenerate_bottom(spectra.DENSE_PREFERENCE + 1, mult)
     gs = ground_space(d)
-    counts = {"steps": 0, "restarts": 0}
+    counts = {"steps": 0, "restarts": 0, "reorthogonalizations": 0}
     lanczos_ground(d, k=mult + 1, counts=counts)
     assert gs.solver == spectra.SolverStats("lanczos", **counts)
     assert gs.multiplicity == mult and abs(gs.gap - 1.0) < 1e-9

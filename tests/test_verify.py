@@ -324,6 +324,13 @@ def test_tolerances_name_the_total_spin_rule():
     assert tolerances["spin_residual_tol"] == SPIN_RESIDUAL_TOL
 
 
+def test_tolerances_name_the_krylov_orthogonality_rule():
+    tolerances = verify_mlm_class(ModelSpec("mlm", path_graph(2))).to_dict()["tolerances"]
+    rule = tolerances["krylov_orthogonality"]
+    assert "semi-orthogonal" in rule and "sqrt(eps)" in rule and "Simon" in rule
+    assert "deflated vectors orthogonal to working precision" in rule
+
+
 def test_tolerances_say_what_the_certified_bounds_do_not_cover():
     tolerances = verify_mlm_class(ModelSpec("mlm", path_graph(2))).to_dict()["tolerances"]
     text = " ".join(v for v in tolerances.values() if isinstance(v, str))
